@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .constants import TWO_PI
 from .dataset import load_dataset, write_manifest, write_trace
 from .dissipation import critical_intensity, decay_length, gamma_rel_closed, q_factor, total_linewidth
 from .pipeline import render_report_table, run_fit_pipeline
-from .sbs import g_b_at_linewidth
+from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
 from .synth import plan_acquisitions, run_acquisition
 from .tls_core import DriveState, PhononMode
 
@@ -42,14 +41,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows, config: RunConfig = None) -> None:
-    lines = []
-    if config is not None:
-        # keeps every emitted number traceable to its run
-        lines.append(f"# tlsphonon {__version__} config_sha256 {config.sha256}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``rows`` as they are produced, so a large grid never sits in memory as text."""
+    with path.open("w", encoding="utf-8") as fh:
+        if config is not None:
+            # keeps every emitted number traceable to its run
+            fh.write(f"# tlsphonon {__version__} config_sha256 {config.sha256}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -114,40 +113,41 @@ MODEL_COLUMNS = (
 def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
     dims = parse_grid(grid_spec)
     t_ref = config.fit_section().get("t0_k")
-    rows = []
-    for f_hz in dims["f"]:
-        f_hz = float(f_hz)
-        mode = PhononMode.in_material(config.material, TWO_PI * f_hz, "L")
-        for t in dims["T"]:
-            for j in dims["J"]:
-                drive = DriveState(temperature=float(t), intensity=float(j),
-                                   drive_omega=mode.omega)
-                if config.j_c_explicit is not None:
-                    j_c = config.j_c_explicit
-                else:
-                    j_c = critical_intensity(config.material, float(t),
-                                             times=config.times,
-                                             ensemble=config.ensemble)
-                bd = total_linewidth(
-                    mode, drive, config.material, config.ensemble,
-                    j_c=j_c, t_ref=t_ref,
-                )
-                rows.append((
-                    float(t), float(j), float(f_hz), j_c,
-                    bd.gamma_res / TWO_PI, bd.gamma_rel / TWO_PI,
-                    bd.gamma_bg / TWO_PI, bd.total / TWO_PI,
-                    bd.freq_shift_res / TWO_PI,
-                    q_factor(mode.omega, bd.total),
-                    decay_length(bd.total, config.material, "L"),
-                ))
+    t, j = np.meshgrid(dims["T"], dims["J"], indexing="ij")
+    if config.j_c_explicit is not None:
+        j_c = config.j_c_explicit
+    else:
+        j_c = critical_intensity(config.material, t, times=config.times,
+                                 ensemble=config.ensemble)
+
+    def rows():
+        # frequency-major, then T, then J: the order of the grid spec
+        for f_hz in dims["f"]:
+            mode = PhononMode.in_material(config.material, TWO_PI * float(f_hz), "L")
+            drive = DriveState(temperature=t, intensity=j, drive_omega=mode.omega)
+            bd = total_linewidth(mode, drive, config.material, config.ensemble,
+                                 j_c=j_c, t_ref=t_ref)
+            columns = (
+                t, j, f_hz, j_c,
+                bd.gamma_res / TWO_PI, bd.gamma_rel / TWO_PI,
+                bd.gamma_bg / TWO_PI, bd.total / TWO_PI,
+                bd.freq_shift_res / TWO_PI,
+                q_factor(mode.omega, bd.total),
+                decay_length(bd.total, config.material, "L"),
+            )
+            table = np.stack([np.broadcast_to(c, t.shape).ravel() for c in columns], axis=1)
+            for row in table:
+                yield row.tolist()
+
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "model.csv"
-    _write_csv(out, MODEL_COLUMNS, rows, config=config)
+    _write_csv(out, MODEL_COLUMNS, rows(), config=config)
     return out
 
 
-def cmd_synth(config: RunConfig, out_dir: Path, parallel: int = 1) -> Path:
+def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     plan = config.sweep_plan()
+    grid, acquisitions = plan_acquisitions(plan)
 
     # conservative weak-signal check: the line is narrowest (gain highest)
     # at the saturation floor
@@ -155,22 +155,15 @@ def cmd_synth(config: RunConfig, out_dir: Path, parallel: int = 1) -> Path:
     floor = (gamma_rel_closed(plan.t_start, "L", model.material, model.ensemble)
              + model.ensemble.gamma_bg)
     g_b_max = g_b_at_linewidth(model.material, floor)
-    for idx, (pump, stokes) in enumerate(plan.power_settings):
-        margin = g_b_max * pump * model.material.l_fut
-        if margin > 0.1:
+    drives = {acq.setting_index: acq.drive for acq in acquisitions}
+    for idx, drive in drives.items():
+        margin = weak_signal_margin(drive, g_b_max)
+        if margin > WEAK_SIGNAL_WARN_LEVEL:
             print(f"warning: power setting {idx} has single-pass gain "
-                  f"g_B*P_p*L = {margin:.3g} > 0.1; the weak-signal model "
-                  "is marginal there", file=sys.stderr)
+                  f"g_B*P_p*L = {margin:.3g} > {WEAK_SIGNAL_WARN_LEVEL}; "
+                  "the weak-signal model is marginal there", file=sys.stderr)
 
-    grid, acquisitions = plan_acquisitions(plan)
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            traces = list(pool.map(run_acquisition, acquisitions,
-                                   [plan] * len(acquisitions),
-                                   [grid] * len(acquisitions),
-                                   chunksize=16))
-    else:
-        traces = [run_acquisition(acq, plan, grid) for acq in acquisitions]
+    traces = [run_acquisition(acq, plan, grid) for acq in acquisitions]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = [write_trace(out_dir, tr) for tr in traces]
@@ -265,14 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, type=Path)
     p_synth.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
-    p_synth.add_argument("--parallel", type=int, default=1)
 
     p_fit = sub.add_parser("fit", help="fit a dataset directory")
     p_fit.add_argument("dataset", type=Path)
     p_fit.add_argument("--config", type=Path, default=None,
                        help="defaults to the config embedded in the manifest")
     p_fit.add_argument("--out", required=True, type=Path)
-    p_fit.add_argument("--parallel", type=int, default=1)
 
     p_report = sub.add_parser("report", help="print the parameter comparison table")
     p_report.add_argument("--out", required=True, type=Path,
@@ -297,8 +288,7 @@ def main(argv=None) -> int:
             print(out)
             return 0
         if args.command == "synth":
-            out = cmd_synth(_config_with_seed(args.config, args.seed),
-                            args.out, parallel=args.parallel)
+            out = cmd_synth(_config_with_seed(args.config, args.seed), args.out)
             print(out)
             return 0
         if args.command == "fit":

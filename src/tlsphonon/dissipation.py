@@ -9,6 +9,8 @@ are checkable at runtime rather than trusted.
 
 All rates are angular FWHM-type quantities in rad/s: the Lorentzian response
 of a mode with dissipation rate Gamma has full width Gamma at half maximum.
+The closed forms take a temperature and an intensity that are either floats
+or broadcastable numpy arrays, so one evaluation serves a point or a grid.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 from .bloch import RelaxationTimes
 from .constants import HBAR, KB
@@ -47,6 +51,7 @@ MODEL_VALIDITY_MAX_K = 10.0
 class LinewidthBreakdown:
     """Additive decomposition of the acoustic dissipation rate [rad/s].
 
+    Each field is a float, or an array when the operating point is a grid.
     total = gamma_res + gamma_rel + gamma_bg by construction;
     freq_shift_res is the resonant frequency pull relative to the reference
     temperature the caller supplied (0.0 when no reference was given).
@@ -76,7 +81,7 @@ def gamma_res_weak(
     gamma = ensemble.deformation_potential(mode.polarization)
     v = material.sound_speed(mode.polarization)
     prefactor = math.pi * ensemble.p * gamma ** 2 * mode.omega / (material.rho * v ** 2)
-    return prefactor * math.tanh(HBAR * mode.omega / (2.0 * KB * temperature))
+    return prefactor * np.tanh(HBAR * mode.omega / (2.0 * KB * temperature))
 
 
 def critical_intensity(
@@ -115,11 +120,11 @@ def gamma_res_strong(
     ensemble: TLSEnsemble,
 ) -> float:
     """Saturable resonant absorption rate [rad/s]: weak rate / sqrt(1 + J/J_c)."""
-    if intensity < 0.0:
+    if np.any(np.asarray(intensity) < 0.0):
         raise ValueError("intensity must be >= 0")
     _require_positive(j_c=j_c)
     weak = gamma_res_weak(mode, temperature, material, ensemble)
-    return weak / math.sqrt(1.0 + intensity / j_c)
+    return weak / np.sqrt(1.0 + intensity / j_c)
 
 
 def suppression_factor(intensity: float, j_c: float) -> float:
@@ -207,6 +212,17 @@ def gamma_res_integral_oracle(
     return prefactor * result.value
 
 
+def shift_bracket(omega: float, temperature: float) -> float:
+    """ln x - Re psi(1/2 + i x / 2 pi) with x = hbar Omega / k_B T.
+
+    The temperature dependence of the resonant frequency pull; the shift
+    between two temperatures is -(P gamma^2 Omega / rho v^2) times the
+    difference of this bracket.
+    """
+    x = HBAR * omega / (KB * temperature)
+    return np.log(x) - digamma_half_plus_imag(x / (2.0 * math.pi))
+
+
 def freq_shift_res(
     mode: PhononMode,
     temperature: float,
@@ -226,12 +242,8 @@ def freq_shift_res(
     gamma = ensemble.deformation_potential(mode.polarization)
     v = material.sound_speed(mode.polarization)
     scale = ensemble.p * gamma ** 2 * mode.omega / (material.rho * v ** 2)
-
-    def bracket(t: float) -> float:
-        x = HBAR * mode.omega / (KB * t)
-        return math.log(x) - digamma_half_plus_imag(x / (2.0 * math.pi))
-
-    return -scale * (bracket(temperature) - bracket(t_ref))
+    return -scale * (shift_bracket(mode.omega, temperature)
+                     - shift_bracket(mode.omega, t_ref))
 
 
 def gamma_rel_closed(
@@ -350,7 +362,8 @@ def total_linewidth(
     j_c: Optional[float] = None,
     t_ref: Optional[float] = None,
 ) -> LinewidthBreakdown:
-    """Total dissipation rate and its breakdown at one operating point.
+    """Total dissipation rate and its breakdown at one operating point, or
+    element-wise over a grid of them when ``drive`` holds arrays.
 
     total = gamma_res(J) + gamma_rel(T) + gamma_bg. The critical intensity
     comes from exactly one source: an explicit ``j_c``, explicit ``times``,
@@ -360,9 +373,9 @@ def total_linewidth(
     Saturates toward the floor gamma_rel + gamma_bg as J -> infinity.
     """
     t = drive.temperature
-    if t > MODEL_VALIDITY_MAX_K:
+    if np.any(np.asarray(t) > MODEL_VALIDITY_MAX_K):
         warnings.warn(
-            f"tunneling-state dissipation at T = {t} K is an extrapolation; "
+            f"tunneling-state dissipation at T = {np.max(t)} K is an extrapolation; "
             f"the model is calibrated below ~{MODEL_VALIDITY_MAX_K:.0f} K",
             stacklevel=2,
         )

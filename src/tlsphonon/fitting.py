@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .constants import HBAR, KB
-from .numerics import digamma_half_plus_imag
+from .dissipation import shift_bracket
 from .synth import BGSTrace
 from .tls_core import MaterialParams, PhononMode, TLSEnsemble, min_lifetime
 
@@ -583,12 +583,7 @@ def compare_freq_shift(
     v = material.sound_speed(polarization)
     omega0 = ref.omega_hat
     scale = p_gamma2 * omega0 / (material.rho * v ** 2)
-
-    def bracket(t):
-        x = HBAR * omega0 / (KB * t)
-        return math.log(x) - digamma_half_plus_imag(x / (2.0 * math.pi))
-
-    bracket_ref = bracket(t_ref)
+    bracket_ref = shift_bracket(omega0, t_ref)
     rows = []
     for temperature, fit in fits:
         if fit is ref:
@@ -597,7 +592,7 @@ def compare_freq_shift(
             sigma_meas = 0.0
         else:
             measured = fit.omega_hat - ref.omega_hat
-            predicted = -scale * (bracket(temperature) - bracket_ref)
+            predicted = -scale * (shift_bracket(omega0, temperature) - bracket_ref)
             sigma_meas = math.hypot(fit.omega_sigma, ref.omega_sigma)
         sigma_pred = abs(predicted) * (p_gamma2_sigma / p_gamma2) if p_gamma2 > 0 else 0.0
         rows.append(FreqShiftRow(

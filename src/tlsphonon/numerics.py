@@ -10,12 +10,12 @@ approximate.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from scipy.integrate import quad as _scipy_quad
+from scipy.special import psi as _scipy_psi
 
 
 class QuadratureError(RuntimeError):
@@ -93,48 +93,13 @@ def bose_occupation(x: float) -> float:
 # digamma
 # ---------------------------------------------------------------------------
 
-# - Sum_{k>=1} B_{2k} / (2k z^{2k}), coefficients of the Stirling-type tail
-_ASYMPTOTIC_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-_ASYMPTOTIC_RADIUS = 10.0  # |z| beyond which the truncated series is ~1e-15
-
-
-def digamma_complex(z: complex) -> complex:
-    """Digamma function psi(z) for complex z off the nonpositive integers.
-
-    Uses the recurrence psi(z) = psi(z+1) - 1/z to push |z| beyond the
-    asymptotic radius, then the standard large-|z| expansion
-    psi(z) ~ ln z - 1/(2z) - sum B_2k/(2k z^2k).
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"digamma pole at z={z}")
-    shift = 0.0 + 0.0j
-    while abs(z) < _ASYMPTOTIC_RADIUS:
-        shift -= 1.0 / z
-        z += 1.0
-    w = 1.0 / (z * z)
-    tail = 0.0 + 0.0j
-    for c in reversed(_ASYMPTOTIC_COEFFS):
-        tail = w * (c + tail)
-    return shift + cmath.log(z) - 0.5 / z - tail
-
-
-def digamma_half_plus_imag(x: float) -> float:
+def digamma_half_plus_imag(x):
     """Re psi(1/2 + i x), the thermal kernel of the TLS sound-velocity shift.
 
     Even in x; equals psi(1/2) = -euler_gamma - 2 ln 2 at x = 0 and grows
-    like ln|x| for large |x|.
+    like ln|x| for large |x|. Accepts a float or an array.
     """
-    return digamma_complex(complex(0.5, abs(float(x)))).real
+    return _scipy_psi(0.5 + 1j * abs(x)).real
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ def synth_trace(
 
 @dataclass(frozen=True)
 class Acquisition:
-    """One planned trace: everything synth_trace needs, picklable."""
+    """One planned trace: everything synth_trace needs."""
 
     temperature: float
     drive: OpticalDrive
@@ -320,8 +320,8 @@ def plan_acquisitions(plan: SweepPlan) -> Tuple[np.ndarray, List[Acquisition]]:
     times, rung-major, setting-minor, repeats innermost. The grid is set
     once for the whole campaign (as a synthesizer span would be), wide
     enough to cover the line at every rung including its thermal drift.
-    ``timestamp_index`` is the global ordinal and seeds each trace, so a
-    parallel evaluation agrees with the serial one bit for bit.
+    ``timestamp_index`` is the global ordinal and seeds each trace, so each
+    trace depends only on its own acquisition, not on the order of evaluation.
     """
     model = plan.model
     rungs = plan.rung_temperatures()

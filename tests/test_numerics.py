@@ -10,7 +10,6 @@ from tlsphonon.numerics import (
     QuadratureResult,
     bose_occupation,
     coth,
-    digamma_complex,
     digamma_half_plus_imag,
     quad2d_adaptive,
     quad_adaptive,
@@ -30,10 +29,6 @@ class TestDigamma:
         assert digamma_half_plus_imag(0.0) == pytest.approx(
             -EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-13
         )
-
-    def test_psi_one(self):
-        assert digamma_complex(1.0 + 0.0j).real == pytest.approx(-EULER_GAMMA, abs=1e-13)
-        assert abs(digamma_complex(1.0 + 0.0j).imag) < 1e-15
 
     def test_even_in_x(self):
         for x in (0.3, 1.7, 42.0, 9999.0):
@@ -56,12 +51,6 @@ class TestDigamma:
         # x = 10 already sits close to ln x; the correction is O(1e-2)
         assert abs(digamma_half_plus_imag(10.0) - math.log(10.0)) < 2e-2
         assert abs(digamma_half_plus_imag(1e4) - math.log(1e4)) < 1e-8
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            digamma_complex(0.0 + 0.0j)
-        with pytest.raises(ValueError):
-            digamma_complex(-3.0 + 0.0j)
 
 
 class TestHyperbolics:

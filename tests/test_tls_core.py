@@ -275,5 +275,12 @@ class TestTypes:
             DriveState(temperature=0.0, intensity=1.0, drive_omega=1.0)
         with pytest.raises(ValueError):
             DriveState(temperature=1.0, intensity=-1.0, drive_omega=1.0)
+        # a grid of operating points is rejected if any one element is bad
+        with pytest.raises(ValueError):
+            DriveState(temperature=np.array([1.0, 0.0, 2.0]), intensity=1.0, drive_omega=1.0)
+        with pytest.raises(ValueError):
+            DriveState(temperature=1.0, intensity=np.array([0.0, 3.0, -1.0]), drive_omega=1.0)
         ok = DriveState(temperature=1.0, intensity=0.0, drive_omega=1.0)
         assert ok.intensity == 0.0
+        DriveState(temperature=np.array([[1.0], [2.0]]), intensity=np.array([0.0, 3.0]),
+                   drive_omega=1.0)
