@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, parse_config
 from .constants import TWO_PI
-from .dataset import load_dataset, write_manifest, write_trace
+from .dataset import load_dataset, read_manifest, write_manifest, write_spectrum, write_trace
 from .dissipation import critical_intensity, decay_length, gamma_rel_closed, q_factor, total_linewidth
-from .pipeline import render_report_table, run_fit_pipeline
+from .pipeline import TABLE_COLUMNS, render_report_table, run_fit_pipeline
 from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
 from .synth import plan_acquisitions, run_acquisition
 from .tls_core import DriveState, PhononMode
@@ -40,12 +40,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows, config: RunConfig = None) -> None:
+def _write_csv(path: Path, header, rows, config: RunConfig) -> None:
     """Write ``rows`` as they are produced, so a large grid never sits in memory as text."""
     with path.open("w", encoding="utf-8") as fh:
-        if config is not None:
-            # keeps every emitted number traceable to its run
-            fh.write(f"# tlsphonon {__version__} config_sha256 {config.sha256}\n")
+        # keeps every emitted number traceable to its run
+        fh.write(f"# tlsphonon {__version__} config_sha256 {config.sha256}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -188,30 +187,13 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
 
     binned_dir = out_dir / "binned"
     binned_dir.mkdir(exist_ok=True)
-    for setting, center, averaged in result.binned:
-        path = binned_dir / f"binned_s{setting:02d}_T{center:.3f}.csv"
-        _write_csv(path, ("detuning_hz", "gain_w"),
-                   zip(averaged.detuning_grid / TWO_PI, averaged.gain))
+    for unit in result.binned:
+        write_spectrum(binned_dir / f"binned_s{unit.setting:02d}_T{unit.center:.3f}.csv",
+                       unit.trace.detuning_grid / TWO_PI, unit.trace.gain)
 
-    def rows_of(records, columns):
-        return [tuple(rec[c] for c in columns) for rec in records]
-
-    per_bin_cols = ("bin_center_k", "temperature_k", "setting_index", "n_traces",
-                    "intensity_w_m2", "omega_hat_hz", "omega_sigma_hz",
-                    "gamma_hat_hz", "gamma_sigma_hz", "peak_hat_w", "residual_norm")
-    _write_csv(out_dir / "per_bin.csv", per_bin_cols,
-               rows_of(report["per_bin"], per_bin_cols), config=config)
-
-    per_t_cols = ("temperature_k", "p_gamma2_j_m3", "p_gamma2_sigma_j_m3",
-                  "j_c_w_m2", "j_c_sigma_w_m2", "gamma0_hz", "gamma0_sigma_hz",
-                  "t1_t2_s2", "t1_s", "t2_s")
-    _write_csv(out_dir / "per_temperature.csv", per_t_cols,
-               rows_of(report["per_temperature"], per_t_cols), config=config)
-
-    shift_cols = ("temperature_k", "measured_shift_hz", "predicted_shift_hz",
-                  "discrepancy_hz", "uncertainty_hz")
-    _write_csv(out_dir / "freq_shift.csv", shift_cols,
-               rows_of(report["freq_shift"], shift_cols), config=config)
+    for table, columns in TABLE_COLUMNS.items():
+        _write_csv(out_dir / f"{table}.csv", columns,
+                   ([row[c] for c in columns] for row in report[table]), config)
 
     (out_dir / "report.txt").write_text(
         render_report_table(report, config) + "\n", encoding="utf-8"
@@ -295,7 +277,6 @@ def main(argv=None) -> int:
             if args.config is not None:
                 config = load_config(args.config)
             else:
-                from .dataset import read_manifest
                 config = parse_config(read_manifest(args.dataset)["config"])
             return cmd_fit(config, args.dataset, args.out)
         if args.command == "report":

@@ -18,7 +18,7 @@ import jsonschema
 
 from .bloch import RelaxationTimes
 from .constants import EV, TWO_PI
-from .synth import ForwardModel, SweepPlan
+from .synth import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, ForwardModel, SweepPlan
 from .tls_core import MaterialParams, TLSEnsemble, get_preset, preset_names
 
 _MATERIAL_SCHEMA = {
@@ -175,7 +175,7 @@ class RunConfig:
             ensemble=self.ensemble,
             times=self.times,
             j_c_explicit=self.j_c_explicit,
-            pump_wavelength=float(synth.get("pump_wavelength_m", 1548.963e-9)),
+            pump_wavelength=float(synth.get("pump_wavelength_m", ForwardModel.pump_wavelength)),
             drift_reference_k=drift_ref,
         )
 
@@ -191,8 +191,8 @@ class RunConfig:
             noise_sigma=float(synth["noise_sigma_w"]),
             model=self.forward_model(),
             base_seed=self.seed,
-            detuning_points=int(synth.get("detuning_points", 401)),
-            detuning_span=float(synth.get("detuning_span_fwhm", 10.0)),
+            detuning_points=int(synth.get("detuning_points", DEFAULT_POINTS)),
+            detuning_span=float(synth.get("detuning_span_fwhm", DEFAULT_SPAN_FWHM)),
         )
 
 

@@ -1,17 +1,19 @@
 """On-disk dataset format for gain spectra.
 
 One CSV per trace with header ``detuning_hz,gain_w`` plus a JSON sidecar
-carrying the acquisition metadata, and a manifest listing every trace with
-the config hash and library version. Floats are written with ``repr`` (the
-shortest round-trip form), so re-running an identical config produces
+repeating the trace's acquisition metadata, and a manifest listing every
+trace with that metadata, the config hash and the library version. Only
+the CSV and the manifest are read back. Floats are written with ``repr``
+(the shortest round-trip form), so re-running an identical config produces
 byte-identical files. Synthetic and externally measured data share the
-format; the sidecar's ``peak_intensity_w_m2`` is optional for the latter
-and recomputed from the fitted linewidth when absent.
+format; a manifest entry's ``peak_intensity_w_m2`` is optional for the
+latter and recomputed from the fitted linewidth when absent.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import List
 
@@ -24,22 +26,21 @@ from .synth import BGSTrace
 TRACE_HEADER = "detuning_hz,gain_w"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def trace_filename(index: int) -> str:
     return f"trace_{index:05d}.csv"
+
+
+def write_spectrum(path: Path, detuning_hz: np.ndarray, gain: np.ndarray) -> None:
+    """Write one spectrum as a ``detuning_hz,gain_w`` CSV."""
+    rows = "".join(f"{f!r},{g!r}\n" for f, g in zip(detuning_hz.tolist(), gain.tolist()))
+    Path(path).write_text(f"{TRACE_HEADER}\n{rows}", encoding="utf-8")
 
 
 def write_trace(directory: Path, trace: BGSTrace) -> dict:
     """Write one trace (CSV + JSON sidecar); returns its manifest entry."""
     directory = Path(directory)
     name = trace_filename(trace.timestamp_index)
-    lines = [TRACE_HEADER]
-    for f_hz, g_w in zip(trace.detuning_grid / TWO_PI, trace.gain):
-        lines.append(f"{_fmt(f_hz)},{_fmt(g_w)}")
-    (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_spectrum(directory / name, trace.detuning_grid / TWO_PI, trace.gain)
 
     sidecar = {
         "temperature_k": float(trace.temperature),
@@ -113,11 +114,29 @@ def read_manifest(directory: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _off_grid(loaded: List[tuple]) -> List[int]:
+    """Positions in ``loaded`` of traces off their power setting's grid.
+
+    A setting's grid is the one shared by the most of its traces; on a tie,
+    the grid of the earliest of them in the manifest.
+    """
+    # + 0.0 maps -0.0 to 0.0, so equal bytes mean np.array_equal grids
+    keys = {pos: (trace.setting_index, (trace.detuning_grid + 0.0).tobytes())
+            for pos, (_, trace, _) in enumerate(loaded) if trace is not None}
+    counts = Counter(keys.values())
+    majority = {}
+    for setting, grid in keys.values():  # manifest order: a tie keeps the earliest
+        if counts[setting, grid] > counts[setting, majority.get(setting)]:
+            majority[setting] = grid
+    return [pos for pos, (setting, grid) in keys.items() if grid != majority[setting]]
+
+
 def load_dataset(directory: Path) -> List[tuple]:
     """All traces of a dataset as (entry, trace-or-None, error-or-None).
 
-    Corrupted traces are surfaced rather than fatal; the caller decides how
-    many failures the run tolerates.
+    Corrupted traces are surfaced rather than fatal, and so is a trace whose
+    detuning grid differs from the one most traces of its power setting
+    share; the caller decides how many failures the run tolerates.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -127,4 +146,8 @@ def load_dataset(directory: Path) -> List[tuple]:
             out.append((entry, read_trace(directory, entry), None))
         except Exception as exc:
             out.append((entry, None, f"{type(exc).__name__}: {exc}"))
+    for pos in _off_grid(out):
+        entry, trace, _ = out[pos]
+        out[pos] = (entry, None, "ValueError: detuning grid differs from the one shared "
+                                 f"by most traces of power setting {trace.setting_index}")
     return out

@@ -292,6 +292,18 @@ def _warn_if_flat(j, j_c_hat, temperature):
         )
 
 
+def _saturation_start(j, g, mode: PhononMode, material: MaterialParams,
+                      temperature: float) -> Tuple[float, float, float]:
+    """Starting (p_gamma2, j_c, gamma0) by the rule fit_saturation documents;
+    the saturable amplitude is floored at 1e-3 gamma0."""
+    v = material.sound_speed(mode.polarization)
+    tanh_fac = math.tanh(HBAR * mode.omega / (2.0 * KB * temperature))
+    gamma0 = float(np.min(g))
+    amp = max(float(np.max(g) - gamma0), 1e-3 * gamma0)
+    amp_to_pg2 = material.rho * v ** 2 / (math.pi * mode.omega * tanh_fac)
+    return amp * amp_to_pg2, float(np.median(j)), gamma0
+
+
 def fit_saturation(
     points: Sequence[Tuple[float, float]],
     mode: PhononMode,
@@ -313,15 +325,9 @@ def fit_saturation(
     if sigmas is not None:
         weights = 1.0 / np.asarray(sigmas, dtype=float)
 
-    v = material.sound_speed(mode.polarization)
-    tanh_fac = math.tanh(HBAR * mode.omega / (2.0 * KB * temperature))
-    amp_to_pg2 = material.rho * v ** 2 / (math.pi * mode.omega * tanh_fac)
-
-    gamma0_init = float(g.min())
-    amp_init = max(float(g.max() - g.min()), 1e-3 * gamma0_init)
-    pg2_init = amp_init * amp_to_pg2
-    jc_init = float(np.median(j))
-    scale = np.array([pg2_init, jc_init, max(gamma0_init, 1e-3 * amp_init)])
+    pg2_init, jc_init, gamma0_init = _saturation_start(j, g, mode, material, temperature)
+    # a zero smallest linewidth still gets a positive gamma0 scale
+    scale = np.array([pg2_init, jc_init, max(gamma0_init, 1e-3 * float(g.max() - g.min()))])
 
     def residuals(p):
         r = saturation_rate(j, p[0] * scale[0], p[1] * scale[1], p[2] * scale[2],
@@ -373,6 +379,7 @@ def fit_saturation_shared(
     if not bins:
         raise FitError("no bins to fit")
     n = len(bins)
+    arrays = [np.asarray(points, dtype=float) for _, _, points in bins]
     inits = []
     for idx, (temperature, mode, points) in enumerate(bins):
         s = sigmas[idx] if sigmas is not None else None
@@ -382,15 +389,8 @@ def fit_saturation_shared(
                 f = fit_saturation(points, mode, material, temperature, sigmas=s)
             inits.append((f.p_gamma2, f.j_c, f.gamma0))
         except FitError:
-            pts = np.asarray(points, dtype=float)
-            v = material.sound_speed(mode.polarization)
-            tanh_fac = math.tanh(HBAR * mode.omega / (2.0 * KB * temperature))
-            amp = max(float(pts[:, 1].max() - pts[:, 1].min()), 1e-6 * pts[:, 1].min())
-            inits.append((
-                amp * material.rho * v ** 2 / (math.pi * mode.omega * tanh_fac),
-                float(np.median(pts[:, 0])),
-                float(pts[:, 1].min()),
-            ))
+            pts = arrays[idx]
+            inits.append(_saturation_start(pts[:, 0], pts[:, 1], mode, material, temperature))
 
     pg2_0 = float(np.median([i[0] for i in inits]))
     scale = np.concatenate([[pg2_0], [i[1] for i in inits], [i[2] for i in inits]])
@@ -404,8 +404,7 @@ def fit_saturation_shared(
     def residuals(p):
         pg2, jcs, g0s = unpack(p)
         out = []
-        for idx, (temperature, mode, points) in enumerate(bins):
-            pts = np.asarray(points, dtype=float)
+        for idx, ((temperature, mode, _), pts) in enumerate(zip(bins, arrays)):
             r = saturation_rate(pts[:, 0], pg2, jcs[idx], g0s[idx],
                                 mode, material, temperature) - pts[:, 1]
             if sigmas is not None:
@@ -413,11 +412,9 @@ def fit_saturation_shared(
             out.append(r)
         return np.concatenate(out)
 
-    x0 = np.ones(1 + 2 * n)
-    x0[1:1 + n] = [i[1] / s for i, s in zip(inits, scale[1:1 + n])]
-    x0[1 + n:] = [i[2] / s for i, s in zip(inits, scale[1 + n:])]
+    # the start is the scale itself, so every scaled parameter starts at 1
     sol = least_squares(
-        residuals, x0,
+        residuals, np.ones(1 + 2 * n),
         bounds=(np.full(1 + 2 * n, 1e-12), np.full(1 + 2 * n, np.inf)),
         xtol=1e-10, ftol=None, gtol=None, max_nfev=200 * (1 + 2 * n),
     )
@@ -429,7 +426,7 @@ def fit_saturation_shared(
     pg2, jcs, g0s = unpack(sol.x)
 
     per_bin = []
-    for idx, (temperature, mode, points) in enumerate(bins):
+    for idx, ((temperature, _, _), pts) in enumerate(zip(bins, arrays)):
         sel = np.array([0, 1 + idx, 1 + n + idx])
         sub = cov[np.ix_(sel, sel)]
         fit = SaturationFit(
@@ -439,7 +436,6 @@ def fit_saturation_shared(
             covariance=sub,
             temperature=temperature,
         )
-        pts = np.asarray(points, dtype=float)
         _warn_if_flat(pts[:, 0], fit.j_c, temperature)
         per_bin.append(fit)
     return SharedSaturationResult(

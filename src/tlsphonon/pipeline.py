@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import List, Optional
 
 import numpy as np
 
@@ -38,13 +40,38 @@ from .tls_core import PhononMode
 MIN_SATURATION_SETTINGS = 5
 DEFAULT_BIN_WIDTH_K = 0.1
 
+# the report's row tables and their columns, in CSV order
+TABLE_COLUMNS = {
+    "per_bin": ("bin_center_k", "temperature_k", "setting_index", "n_traces",
+                "intensity_w_m2", "omega_hat_hz", "omega_sigma_hz",
+                "gamma_hat_hz", "gamma_sigma_hz", "peak_hat_w", "residual_norm"),
+    "per_temperature": ("temperature_k", "p_gamma2_j_m3", "p_gamma2_sigma_j_m3",
+                        "j_c_w_m2", "j_c_sigma_w_m2", "gamma0_hz", "gamma0_sigma_hz",
+                        "t1_t2_s2", "t1_s", "t2_s"),
+    "freq_shift": ("temperature_k", "measured_shift_hz", "predicted_shift_hz",
+                   "discrepancy_hz", "uncertainty_hz"),
+}
+
+
+@dataclass(frozen=True)
+class FitUnit:
+    """One averaged spectrum, a power setting in one temperature bin; ``fit``
+    and ``intensity`` are set by the Lorentzian stage."""
+
+    setting: int
+    center: float  # bin center [K]
+    trace: BGSTrace  # average of the bin's member traces
+    n_traces: int
+    fit: Optional[LorentzianFit] = None
+    intensity: float = 0.0  # peak acoustic intensity [W/m^2]
+
 
 @dataclass
 class PipelineResult:
     """Everything cmd_fit writes: the report plus stage intermediates."""
 
     report: dict
-    binned: List[Tuple[int, float, BGSTrace]]  # (setting_index, bin_center, averaged)
+    binned: List[FitUnit]
     n_fit_units: int
     n_failures: int
 
@@ -75,132 +102,86 @@ def _assign_intensity(trace: BGSTrace, fit: LorentzianFit, config: RunConfig) ->
     ))
 
 
-def run_fit_pipeline(
-    traces: List[BGSTrace],
-    config: RunConfig,
-    *,
-    load_errors: Optional[List[str]] = None,
-) -> PipelineResult:
-    fit_cfg = config.fit_section()
-    bin_width = float(fit_cfg.get("bin_width_k", DEFAULT_BIN_WIDTH_K))
-    shared = bool(fit_cfg.get("shared_p_gamma2", True))
-    weighted = bool(fit_cfg.get("weighted", False))
-    noise_sigma = float(config.synth_section().get("noise_sigma_w", 0.0))
+def _bin_stage(traces: List[BGSTrace], bin_width: float) -> List[FitUnit]:
+    """One unit per (setting, temperature bin), settings ascending, then bins."""
+    setting_of = attrgetter("setting_index")
+    return [FitUnit(setting, center, averaged, n_traces)
+            for setting, group in groupby(sorted(traces, key=setting_of), setting_of)
+            for center, averaged, n_traces in bin_traces(list(group), bin_width)]
 
-    errors: List[str] = list(load_errors or [])
-    notes: List[str] = []
 
-    by_setting: Dict[int, List[BGSTrace]] = {}
-    for tr in traces:
-        by_setting.setdefault(tr.setting_index, []).append(tr)
-
-    # --- binning + Lorentzian stage -------------------------------------
-    binned: List[Tuple[int, float, BGSTrace]] = []
-    counts: Dict[Tuple[int, float], int] = {}
-    for setting in sorted(by_setting):
-        group = by_setting[setting]
-        members: Dict[int, int] = {}
-        for tr in group:
-            idx = math.floor(tr.temperature / bin_width + 1e-9)
-            members[idx] = members.get(idx, 0) + 1
-        for center, averaged in bin_traces(group, bin_width):
-            binned.append((setting, center, averaged))
-            counts[(setting, center)] = members[math.floor(center / bin_width)]
-
-    per_bin_rows = []
-    lorentz: Dict[Tuple[int, float], Tuple[BGSTrace, LorentzianFit, float]] = {}
-    n_failures = 0
-    for setting, center, averaged in binned:
-        n_members = counts[(setting, center)]
-        sigma = None
-        if weighted and noise_sigma > 0.0:
-            sigma = noise_sigma / math.sqrt(n_members)
+def _lorentz_stage(units: List[FitUnit], config: RunConfig, noise_sigma: float,
+                   errors: List[str]) -> List[FitUnit]:
+    """The units whose spectrum fits a Lorentzian, failures to ``errors``; a
+    positive ``noise_sigma`` [W per trace] weights by the bin average's noise."""
+    fitted = []
+    for unit in units:
+        sigma = noise_sigma / math.sqrt(unit.n_traces) if noise_sigma > 0.0 else None
         try:
-            fit = fit_lorentzian(averaged, sigma=sigma)
+            fit = fit_lorentzian(unit.trace, sigma=sigma)
         except FitError as exc:
-            n_failures += 1
-            errors.append(f"bin {center:.3f} K setting {setting}: {exc}")
+            errors.append(f"bin {unit.center:.3f} K setting {unit.setting}: {exc}")
             continue
-        intensity = _assign_intensity(averaged, fit, config)
-        lorentz[(setting, center)] = (averaged, fit, intensity)
-        per_bin_rows.append({
-            "bin_center_k": center,
-            "temperature_k": averaged.temperature,
-            "setting_index": setting,
-            "n_traces": n_members,
-            "intensity_w_m2": intensity,
-            "omega_hat_hz": _hz(fit.omega_hat),
-            "omega_sigma_hz": _hz(fit.omega_sigma),
-            "gamma_hat_hz": _hz(fit.gamma_hat),
-            "gamma_sigma_hz": _hz(fit.gamma_sigma),
-            "peak_hat_w": fit.peak_hat,
-            "residual_norm": fit.residual_norm,
-        })
+        fitted.append(replace(unit, fit=fit,
+                              intensity=_assign_intensity(unit.trace, fit, config)))
+    return fitted
 
-    report = {
-        "version": __version__,
-        "config_sha256": config.sha256,
-        "per_bin": per_bin_rows,
-        "per_temperature": [],
-        "freq_shift": [],
-        "global": {},
-        "errors": errors,
-        "notes": notes,
-    }
-    result = PipelineResult(
-        report=report,
-        binned=binned,
-        n_fit_units=len(binned),
-        n_failures=n_failures,
-    )
-    if not lorentz:
-        notes.append("no bin produced a usable Lorentzian fit")
-        return result
 
-    # --- saturation stage ------------------------------------------------
-    bin_centers = sorted({center for (_, center) in lorentz})
-    sat_inputs = []
-    for center in bin_centers:
-        entries = [(s, *lorentz[(s, center)]) for s in sorted(by_setting)
-                   if (s, center) in lorentz]
-        if len(entries) < MIN_SATURATION_SETTINGS:
+def _per_bin_row(unit: FitUnit) -> dict:
+    fit = unit.fit
+    return dict(zip(TABLE_COLUMNS["per_bin"], (
+        unit.center, unit.trace.temperature, unit.setting, unit.n_traces, unit.intensity,
+        _hz(fit.omega_hat), _hz(fit.omega_sigma), _hz(fit.gamma_hat), _hz(fit.gamma_sigma),
+        fit.peak_hat, fit.residual_norm)))
+
+
+def _saturation_inputs(fitted: List[FitUnit], config: RunConfig):
+    """``(bins, sigmas)`` over the bin centers that enough settings reach:
+    bins as fit_saturation_shared takes them, and their linewidth sigmas."""
+    bins, sigmas = [], []
+    center_of = attrgetter("center")
+    for _, group in groupby(sorted(fitted, key=center_of), center_of):
+        units = list(group)
+        if len(units) < MIN_SATURATION_SETTINGS:
             continue
-        temps = [e[1].temperature for e in entries]
-        omega_mean = float(np.mean([e[2].omega_hat for e in entries]))
-        mode = PhononMode.in_material(config.material, omega_mean, "L")
-        points = [(e[3], e[2].gamma_hat) for e in entries]
-        gamma_sigmas = [max(e[2].gamma_sigma, 1e-30) for e in entries]
-        sat_inputs.append((float(np.mean(temps)), mode, points, gamma_sigmas, center))
+        omega_mean = float(np.mean([u.fit.omega_hat for u in units]))
+        bins.append((
+            float(np.mean([u.trace.temperature for u in units])),
+            PhononMode.in_material(config.material, omega_mean, "L"),
+            [(u.intensity, u.fit.gamma_hat) for u in units],
+        ))
+        sigmas.append([max(u.fit.gamma_sigma, 1e-30) for u in units])
+    return bins, sigmas
 
+
+def _saturation_stage(bins, sigmas, config: RunConfig, shared: bool,
+                      notes: List[str]):
+    """Saturation fits in the order of ``bins``, P*gamma^2 (the median of the
+    per-bin fits unless shared; None if the stage failed) and its sigma. A
+    failing per-bin fit ends the stage and keeps the fits made before it."""
     saturation: List[SaturationFit] = []
-    p_gamma2 = None
-    p_gamma2_sigma = 0.0
-    if sat_inputs:
-        bins_arg = [(t, m, pts) for (t, m, pts, _, _) in sat_inputs]
-        sigmas_arg = [sig for (_, _, _, sig, _) in sat_inputs] if weighted else None
-        try:
-            if shared:
-                shared_fit = fit_saturation_shared(bins_arg, config.material,
-                                                   sigmas=sigmas_arg)
-                saturation = shared_fit.per_bin
-                p_gamma2 = shared_fit.p_gamma2
-                p_gamma2_sigma = shared_fit.p_gamma2_sigma
-            else:
-                for idx, (t, m, pts) in enumerate(bins_arg):
-                    sig = sigmas_arg[idx] if sigmas_arg is not None else None
-                    saturation.append(fit_saturation(pts, m, config.material, t,
-                                                     sigmas=sig))
-                p_gamma2 = float(np.median([s.p_gamma2 for s in saturation]))
-                p_gamma2_sigma = float(np.median([s.p_gamma2_sigma for s in saturation]))
-        except FitError as exc:
-            notes.append(f"saturation stage failed: {exc}")
-    else:
+    if not bins:
         notes.append(
             f"saturation stage skipped: fewer than {MIN_SATURATION_SETTINGS} "
             "power settings per temperature bin"
         )
+        return saturation, None, 0.0
+    try:
+        if shared:
+            shared_fit = fit_saturation_shared(bins, config.material, sigmas=sigmas)
+            return shared_fit.per_bin, shared_fit.p_gamma2, shared_fit.p_gamma2_sigma
+        for (t, mode, points), sig in zip(bins, sigmas or [None] * len(bins)):
+            saturation.append(fit_saturation(points, mode, config.material, t, sigmas=sig))
+    except FitError as exc:
+        notes.append(f"saturation stage failed: {exc}")
+        return saturation, None, 0.0
+    return (saturation, float(np.median([s.p_gamma2 for s in saturation])),
+            float(np.median([s.p_gamma2_sigma for s in saturation])))
 
-    # --- power law, offset decomposition, times --------------------------
+
+def _powerlaw_stage(saturation: List[SaturationFit], config: RunConfig,
+                    p_gamma2: Optional[float], notes: List[str]):
+    """J_c power law and offset decomposition; either is None when not fitted."""
     powerlaw = None
     decomposition = None
     if len(saturation) >= 3:
@@ -219,7 +200,12 @@ def run_fit_pipeline(
             notes.append(f"offset decomposition failed: {exc}")
     elif saturation:
         notes.append("too few temperature bins for power-law / decomposition stages")
+    return powerlaw, decomposition
 
+
+def _times_stage(saturation: List[SaturationFit], bins, decomposition,
+                 config: RunConfig) -> List[dict]:
+    """Per-temperature rows: the saturation fit and the relaxation times."""
     ensemble_fit = config.ensemble
     if decomposition is not None:
         ensemble_fit = replace(
@@ -228,55 +214,41 @@ def run_fit_pipeline(
             gamma_l=decomposition.gamma_l,
             gamma_t=decomposition.gamma_l / math.sqrt(2.0),
         )
-
-    for sat in saturation:
-        mode = next(m for (t, m, _, _, _) in sat_inputs
-                    if abs(t - sat.temperature) < 1e-12)
+    rows = []
+    for sat, (_, mode, _) in zip(saturation, bins):
         times = extract_times(sat, config.material, ensemble_fit, mode, sat.temperature)
-        report["per_temperature"].append({
-            "temperature_k": sat.temperature,
-            "p_gamma2_j_m3": sat.p_gamma2,
-            "p_gamma2_sigma_j_m3": sat.p_gamma2_sigma,
-            "j_c_w_m2": sat.j_c,
-            "j_c_sigma_w_m2": sat.j_c_sigma,
-            "gamma0_hz": _hz(sat.gamma0),
-            "gamma0_sigma_hz": _hz(sat.gamma0_sigma),
-            "t1_t2_s2": times.t1_t2,
-            "t1_s": times.t1,
-            "t2_s": times.t2,
-        })
+        rows.append(dict(zip(TABLE_COLUMNS["per_temperature"], (
+            sat.temperature, sat.p_gamma2, sat.p_gamma2_sigma, sat.j_c, sat.j_c_sigma,
+            _hz(sat.gamma0), _hz(sat.gamma0_sigma), times.t1_t2, times.t1, times.t2))))
+    return rows
 
-    # --- frequency-drift comparison --------------------------------------
+
+def _shift_stage(fitted: List[FitUnit], config: RunConfig, p_gamma2: Optional[float],
+                 p_gamma2_sigma: float, notes: List[str]) -> List[dict]:
+    """Measured against predicted line-center drift, from one power setting."""
     # the least saturated setting tracks the bare line most closely
-    setting_mean_j = {
-        setting: float(np.mean([v[2] for (s, _), v in lorentz.items() if s == setting]))
-        for setting in {s for (s, _) in lorentz}
-    }
-    ref_setting = min(setting_mean_j, key=setting_mean_j.get)
-    shift_fits = [
-        (lorentz[(ref_setting, center)][0].temperature,
-         lorentz[(ref_setting, center)][1])
-        for center in bin_centers if (ref_setting, center) in lorentz
-    ]
-    if len(shift_fits) >= 2:
-        t0 = float(fit_cfg.get("t0_k", shift_fits[0][0]))
-        try:
-            rows = compare_freq_shift(
-                shift_fits, t0, config.material, config.ensemble,
-                p_gamma2=p_gamma2, p_gamma2_sigma=p_gamma2_sigma,
-            )
-            report["freq_shift"] = [{
-                "temperature_k": r.temperature,
-                "measured_shift_hz": _hz(r.measured),
-                "predicted_shift_hz": _hz(r.predicted),
-                "discrepancy_hz": _hz(r.discrepancy),
-                "uncertainty_hz": _hz(r.uncertainty),
-            } for r in rows]
-        except FitError as exc:
-            notes.append(f"frequency-shift stage failed: {exc}")
+    by_setting = [list(group) for _, group in groupby(fitted, attrgetter("setting"))]
+    reference = min(by_setting, key=lambda units: float(np.mean([u.intensity for u in units])))
+    if len(reference) < 2:
+        return []
+    t0 = float(config.fit_section().get("t0_k", reference[0].trace.temperature))
+    try:
+        rows = compare_freq_shift(
+            [(u.trace.temperature, u.fit) for u in reference], t0,
+            config.material, config.ensemble,
+            p_gamma2=p_gamma2, p_gamma2_sigma=p_gamma2_sigma,
+        )
+    except FitError as exc:
+        notes.append(f"frequency-shift stage failed: {exc}")
+        return []
+    return [dict(zip(TABLE_COLUMNS["freq_shift"], (
+        r.temperature, _hz(r.measured), _hz(r.predicted), _hz(r.discrepancy),
+        _hz(r.uncertainty)))) for r in rows]
 
-    # --- global block -----------------------------------------------------
-    glob = report["global"]
+
+def _global_block(p_gamma2: Optional[float], p_gamma2_sigma: float,
+                  powerlaw, decomposition) -> dict:
+    glob = {}
     if p_gamma2 is not None:
         glob["p_gamma2_j_m3"] = p_gamma2
         glob["p_gamma2_sigma_j_m3"] = p_gamma2_sigma
@@ -291,6 +263,49 @@ def run_fit_pipeline(
         glob["gamma_l_ev"] = decomposition.gamma_l / EV
         glob["p_per_j_m3"] = decomposition.p
         glob["coeff_t3_hz_k3"] = _hz(decomposition.coeff_t3)
+    return glob
+
+
+def run_fit_pipeline(
+    traces: List[BGSTrace],
+    config: RunConfig,
+    *,
+    load_errors: Optional[List[str]] = None,
+) -> PipelineResult:
+    """Fit ``traces`` stage by stage: bin, Lorentzian, saturation, power law
+    and decomposition, times, frequency drift, global block."""
+    fit_cfg = config.fit_section()
+    weighted = bool(fit_cfg.get("weighted", False))
+    errors: List[str] = list(load_errors or [])
+    notes: List[str] = []
+
+    units = _bin_stage(traces, float(fit_cfg.get("bin_width_k", DEFAULT_BIN_WIDTH_K)))
+    noise_sigma = float(config.synth_section().get("noise_sigma_w", 0.0)) if weighted else 0.0
+    fitted = _lorentz_stage(units, config, noise_sigma, errors)
+    report = {
+        "version": __version__,
+        "config_sha256": config.sha256,
+        "per_bin": [_per_bin_row(u) for u in fitted],
+        "per_temperature": [],
+        "freq_shift": [],
+        "global": {},
+        "errors": errors,
+        "notes": notes,
+    }
+    result = PipelineResult(report=report, binned=units, n_fit_units=len(units),
+                            n_failures=len(units) - len(fitted))
+    if not fitted:
+        notes.append("no bin produced a usable Lorentzian fit")
+        return result
+
+    bins, sigmas = _saturation_inputs(fitted, config)
+    saturation, p_gamma2, p_gamma2_sigma = _saturation_stage(
+        bins, sigmas if weighted else None, config,
+        bool(fit_cfg.get("shared_p_gamma2", True)), notes)
+    powerlaw, decomposition = _powerlaw_stage(saturation, config, p_gamma2, notes)
+    report["per_temperature"] = _times_stage(saturation, bins, decomposition, config)
+    report["freq_shift"] = _shift_stage(fitted, config, p_gamma2, p_gamma2_sigma, notes)
+    report["global"] = _global_block(p_gamma2, p_gamma2_sigma, powerlaw, decomposition)
     return result
 
 

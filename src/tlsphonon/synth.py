@@ -374,14 +374,14 @@ def synth_sweep(plan: SweepPlan) -> List[BGSTrace]:
 
 def bin_traces(
     traces: Sequence[BGSTrace], bin_width: float
-) -> List[Tuple[float, BGSTrace]]:
+) -> List[Tuple[float, BGSTrace, int]]:
     """Average traces in temperature bins of the given width.
 
     All traces must share one detuning grid; resampling is out of scope and
-    mismatched grids are rejected. Returns (bin center, averaged trace)
-    pairs sorted by bin center, empty bins omitted. The averaged trace
-    carries the mean member temperature and mean peak intensity; drive and
-    indices come from the first member.
+    mismatched grids are rejected. Returns (bin center, averaged trace,
+    number of member traces) sorted by bin center, empty bins omitted. The
+    averaged trace carries the mean member temperature and mean peak
+    intensity; drive and indices come from the first member.
     """
     _require_positive(bin_width=bin_width)
     if not traces:
@@ -412,5 +412,5 @@ def bin_traces(
             setting_index=first.setting_index,
             peak_intensity=float(np.mean([m.peak_intensity for m in members])),
         )
-        out.append(((idx + 0.5) * bin_width, averaged))
+        out.append(((idx + 0.5) * bin_width, averaged, len(members)))
     return out

@@ -237,6 +237,24 @@ class TestCliModel:
         assert "error" in capsys.readouterr().err
 
 
+def _shift_one_grid_value(lines):
+    # a quarter step toward the next sample keeps the grid increasing
+    f_hz, gain = lines[5].split(",")
+    nxt = float(lines[6].split(",")[0])
+    return lines[:5] + [f"{(3.0 * float(f_hz) + nxt) / 4.0!r},{gain}"] + lines[6:]
+
+
+# ways to damage one trace file, as edits of its lines (header included)
+TRACE_FAULTS = {
+    "truncated": lambda lines: lines[:-1],
+    "shifted-grid": _shift_one_grid_value,
+    "nan-gain": lambda lines: lines[:5] + [lines[5].split(",")[0] + ",nan"] + lines[6:],
+    "duplicate-row": lambda lines: lines[:6] + lines[5:],
+    "swapped-rows": lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
+    "empty": lambda lines: [],
+}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -315,6 +333,27 @@ class TestCliSynthFit:
         assert any(victim.name in err for err in report["errors"])
         assert report["per_temperature"]  # pipeline still completed
 
+    @pytest.mark.parametrize("fault", [*TRACE_FAULTS, "missing-pump_w"])
+    def test_damaged_trace_is_recorded_and_skipped(self, workspace, tmp_path, fault):
+        import shutil
+        tmp, config_path, data = workspace
+        broken = tmp_path / "broken"
+        shutil.copytree(data, broken)
+        manifest = read_manifest(broken)
+        victim = manifest["traces"][3]
+        if fault == "missing-pump_w":
+            del victim["pump_w"]
+            (broken / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            path = broken / victim["file"]
+            lines = TRACE_FAULTS[fault](path.read_text().splitlines())
+            path.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "fit"
+        assert main(["fit", str(broken), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert any(victim["file"] in err for err in report["errors"])
+        assert report["per_temperature"]
+
     @pytest.mark.parametrize("pump_w, warns", [(0.035, False), (1.0, True)])
     def test_weak_signal_warning(self, tmp_path, capsys, pump_w, warns):
         # the check reads only t_start and the pump powers, which base_doc
@@ -377,7 +416,7 @@ class TestPipelineOptions:
         assert result.report["per_temperature"]
 
     def test_external_data_intensity_fallback(self, tmp_path):
-        # wiping the sidecar intensities forces the optical-power relation
+        # wiping the stored intensities forces the optical-power relation
         # (evaluated with the fitted linewidth) to reassign J; recovery of
         # the generator parameters survives
         import dataclasses

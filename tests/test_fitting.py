@@ -192,6 +192,24 @@ class TestSaturation:
             assert fit.j_c == pytest.approx(0.9 * t ** 2.6, rel=1e-6)
             assert fit.p_gamma2 == shared.p_gamma2
 
+    def test_shared_fit_starts_a_failing_bin_heuristically(self, ge_doped):
+        # the middle bin spans a factor 4 in J, so its own fit raises and the
+        # shared fit starts it from the heuristic values instead
+        material, ensemble = ge_doped
+        bins = []
+        for t in (1.15, 1.45, 1.75):
+            mode = PhononMode.in_material(material, OMEGA, "L")
+            j_c = 0.9 * t ** 2.6
+            span = (0.5, 2.0) if t == 1.45 else (1e-2, 1e2)
+            j = np.geomspace(span[0] * j_c, span[1] * j_c, 8)
+            gamma0 = gamma_rel_closed(t, "L", material, ensemble) + TWO_PI * 650e3
+            g = saturation_rate(j, 1.6e7, j_c, gamma0, mode, material, t)
+            bins.append((t, mode, list(zip(j, g))))
+        with pytest.raises(FitError, match="decade"):
+            fit_saturation(bins[1][2], bins[1][1], material, 1.45)
+        shared = fit_saturation_shared(bins, material)
+        assert shared.p_gamma2 == pytest.approx(1.6e7, rel=1e-3)
+
 
 class TestPowerLaw:
     def test_exact_recovery(self):

@@ -193,7 +193,7 @@ class TestBinning:
     def test_single_trace_bin(self, model):
         drive = drive_for(model, 1.32)
         trace = synth_trace(1.32, drive, model, 0.0, 3)
-        [(center, averaged)] = bin_traces([trace], 0.1)
+        [(center, averaged, _)] = bin_traces([trace], 0.1)
         assert center == pytest.approx(1.35, abs=1e-12)
         assert np.array_equal(averaged.gain, trace.gain)
         assert averaged.temperature == trace.temperature
@@ -202,10 +202,10 @@ class TestBinning:
         drive = drive_for(model, 1.15)
         # power-of-two counts average exactly; odd counts round one ulp
         traces = [synth_trace(1.15, drive, model, 0.0, s) for s in range(4)]
-        [(_, averaged)] = bin_traces(traces, 0.1)
+        [(_, averaged, _)] = bin_traces(traces, 0.1)
         assert np.array_equal(averaged.gain, traces[0].gain)
         traces5 = traces + [synth_trace(1.15, drive, model, 0.0, 4)]
-        [(_, averaged5)] = bin_traces(traces5, 0.1)
+        [(_, averaged5, _)] = bin_traces(traces5, 0.1)
         assert np.allclose(averaged5.gain, traces[0].gain, rtol=1e-14, atol=0)
 
     def test_noise_averages_down(self, model):
@@ -213,7 +213,7 @@ class TestBinning:
         sigma = 1e-9
         clean = synth_trace(1.15, drive, model, 0.0, 0)
         noisy = [synth_trace(1.15, drive, model, sigma, s) for s in range(100)]
-        [(_, averaged)] = bin_traces(noisy, 0.1)
+        [(_, averaged, _)] = bin_traces(noisy, 0.1)
         resid_sd = float(np.std(averaged.gain - clean.gain))
         assert resid_sd == pytest.approx(sigma / 10.0, rel=0.10)
 
@@ -233,7 +233,7 @@ class TestBinning:
                          power_settings=[(0.035, 0.55e-3)], noise_sigma=0.0,
                          model=model, base_seed=0)
         traces = synth_sweep(plan)
-        for center_k, averaged in bin_traces(traces, 0.1):
+        for center_k, averaged, _ in bin_traces(traces, 0.1):
             t = averaged.temperature
             point = solve_self_consistent(t, averaged.drive, model)
             fit = fit_lorentzian(averaged)
@@ -246,6 +246,6 @@ class TestBinning:
                          model=model, base_seed=9)
         traces = synth_sweep(plan)
         binned = bin_traces(traces, 0.1)
-        centers = [c for c, _ in binned]
+        centers = [c for c, _, _ in binned]
         assert centers == sorted(centers)
         assert len(binned) == 5
