@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, parse_config
 from .constants import TWO_PI
-from .dataset import load_dataset, read_manifest, write_manifest, write_spectrum, write_trace
+from .dataset import (format_rows, load_dataset, read_manifest, write_manifest, write_spectrum,
+                      write_trace)
 from .dissipation import critical_intensity, decay_length, gamma_rel_closed, q_factor, total_linewidth
 from .pipeline import TABLE_COLUMNS, render_report_table, run_fit_pipeline
 from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
@@ -40,12 +41,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_head(header, config: RunConfig) -> str:
+    # the stamp keeps every emitted number traceable to its run
+    return f"# tlsphonon {__version__} config_sha256 {config.sha256}\n{','.join(header)}\n"
+
+
 def _write_csv(path: Path, header, rows, config: RunConfig) -> None:
-    """Write ``rows`` as they are produced, so a large grid never sits in memory as text."""
+    """Write a small table of mixed ints, strings and floats (floats via ``repr``)."""
     with path.open("w", encoding="utf-8") as fh:
-        # keeps every emitted number traceable to its run
-        fh.write(f"# tlsphonon {__version__} config_sha256 {config.sha256}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(_csv_head(header, config))
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -107,6 +111,7 @@ MODEL_COLUMNS = (
     "gamma_res_hz", "gamma_rel_hz", "gamma_bg_hz", "gamma_total_hz",
     "freq_shift_hz", "q_factor", "decay_length_m",
 )
+MODEL_BLOCK_ROWS = 4096
 
 
 def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
@@ -119,7 +124,10 @@ def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
         j_c = critical_intensity(config.material, t, times=config.times,
                                  ensemble=config.ensemble)
 
-    def rows():
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir / "model.csv"
+    with out.open("wb") as fh:
+        fh.write(_csv_head(MODEL_COLUMNS, config).encode())
         # frequency-major, then T, then J: the order of the grid spec
         for f_hz in dims["f"]:
             mode = PhononMode.in_material(config.material, TWO_PI * float(f_hz), "L")
@@ -135,12 +143,9 @@ def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
                 decay_length(bd.total, config.material, "L"),
             )
             table = np.stack([np.broadcast_to(c, t.shape).ravel() for c in columns], axis=1)
-            for row in table:
-                yield row.tolist()
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "model.csv"
-    _write_csv(out, MODEL_COLUMNS, rows(), config=config)
+            # bounded blocks: a large grid never sits in memory as one text
+            for start in range(0, len(table), MODEL_BLOCK_ROWS):
+                fh.write(format_rows(table[start:start + MODEL_BLOCK_ROWS]))
     return out
 
 

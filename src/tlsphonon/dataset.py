@@ -3,37 +3,74 @@
 One CSV per trace with header ``detuning_hz,gain_w`` plus a JSON sidecar
 repeating the trace's acquisition metadata, and a manifest listing every
 trace with that metadata, the config hash and the library version. Only
-the CSV and the manifest are read back. Floats are written with ``repr``
-(the shortest round-trip form), so re-running an identical config produces
-byte-identical files. Synthetic and externally measured data share the
-format; a manifest entry's ``peak_intensity_w_m2`` is optional for the
-latter and recomputed from the fitted linewidth when absent.
+the CSV and the manifest are read back. Floats are written by
+:func:`format_rows` in their shortest round-trip form, so re-running an
+identical config produces byte-identical files. Synthetic and externally
+measured data share the format; a manifest entry's ``peak_intensity_w_m2``
+is optional for the latter and recomputed from the fitted linewidth when
+absent.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from collections import Counter
 from pathlib import Path
 from typing import List
 
 import numpy as np
+import orjson
 
 from .constants import TWO_PI
 from .sbs import OpticalDrive
 from .synth import BGSTrace
 
 TRACE_HEADER = "detuning_hz,gain_w"
+_HEADER_LINE = TRACE_HEADER.encode() + b"\n"
+# every byte format_rows writes for finite values; any other goes to the line parser
+_ROW_BYTES = b"0123456789.eE+-, \n"
+# JSON reads the integer -0 as +0, where float() keeps the sign
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.\deE])")
 
 
 def trace_filename(index: int) -> str:
     return f"trace_{index:05d}.csv"
 
 
+def _token(value: float) -> bytes:
+    # repr spells NaN and +-inf as Python's float() reads them; JSON has no such numbers
+    return orjson.dumps(value) if math.isfinite(value) else repr(value).encode()
+
+
+def format_rows(matrix: np.ndarray) -> bytes:
+    """CSV rows of a 2-D float matrix, each value in its shortest round-trip form.
+
+    The digits are those of ``repr``, written by orjson's C serializer;
+    exponents are unpadded (``1e-7``, ``1e16``) and values in [1e-5, 1e-4)
+    are positional (``0.00003``). NaN and +-inf are written ``nan``, ``inf``
+    and ``-inf``, never JSON's ``null``.
+    """
+    block = np.ascontiguousarray(matrix, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {block.shape}")
+    if not len(block):
+        return b""
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]  # [[a,b],[c,d]]
+    finite = np.isfinite(block).all(axis=1)
+    if finite.all():
+        return text.replace(b"],[", b"\n") + b"\n"
+    lines = text.split(b"],[")
+    for i in np.flatnonzero(~finite):
+        lines[i] = b",".join(map(_token, block[i].tolist()))
+    return b"\n".join(lines) + b"\n"
+
+
 def write_spectrum(path: Path, detuning_hz: np.ndarray, gain: np.ndarray) -> None:
     """Write one spectrum as a ``detuning_hz,gain_w`` CSV."""
-    rows = "".join(f"{f!r},{g!r}\n" for f, g in zip(detuning_hz.tolist(), gain.tolist()))
-    Path(path).write_text(f"{TRACE_HEADER}\n{rows}", encoding="utf-8")
+    rows = format_rows(np.column_stack((detuning_hz, gain)))
+    Path(path).write_bytes(_HEADER_LINE + rows)
 
 
 def write_trace(directory: Path, trace: BGSTrace) -> dict:
@@ -61,11 +98,30 @@ def write_trace(directory: Path, trace: BGSTrace) -> dict:
     return entry
 
 
-def read_trace(directory: Path, entry: dict) -> BGSTrace:
-    """Load one trace from its manifest entry."""
-    directory = Path(directory)
-    path = directory / entry["file"]
-    raw = path.read_text(encoding="utf-8").strip().splitlines()
+def _parse_rows(data: bytes):
+    """The (n, 2) value matrix of a trace CSV in format_rows' layout, else None.
+
+    One orjson parse of the whole body. Anything else a v1 reader takes
+    (``1.``, ``.5``, ``+1``, ``nan``, CRLF, blank lines) returns None and
+    goes to :func:`_parse_lines`, and so does a body that is not two numbers
+    a line, so a damaged file fails with that parser's message.
+    """
+    if not data.startswith(_HEADER_LINE):
+        return None
+    body = data[len(_HEADER_LINE):].rstrip()
+    if body.translate(None, _ROW_BYTES) or _INTEGER_MINUS_ZERO.search(body):
+        return None
+    try:
+        rows = np.array(orjson.loads(b"[[" + body.replace(b"\n", b"],[") + b"]]"),
+                        dtype=np.float64)
+    except ValueError:  # not JSON, a number past the double range, or ragged rows
+        return None
+    return rows if rows.ndim == 2 and rows.shape[1] == 2 else None
+
+
+def _parse_lines(text: str, path: Path):
+    """(detuning, gain) arrays of any v1 trace CSV, one line at a time."""
+    raw = text.strip().splitlines()
     if not raw or raw[0].strip() != TRACE_HEADER:
         raise ValueError(f"{path}: expected header {TRACE_HEADER!r}")
     det = []
@@ -74,6 +130,19 @@ def read_trace(directory: Path, entry: dict) -> BGSTrace:
         a, b = line.split(",")
         det.append(float(a))
         gain.append(float(b))
+    return np.array(det), np.array(gain)
+
+
+def read_trace(directory: Path, entry: dict) -> BGSTrace:
+    """Load one trace from its manifest entry."""
+    directory = Path(directory)
+    path = directory / entry["file"]
+    data = path.read_bytes()
+    rows = _parse_rows(data)
+    if rows is None:
+        det, gain = _parse_lines(data.decode("utf-8"), path)
+    else:  # owned copies: column views would keep the whole matrix alive
+        det, gain = rows[:, 0].copy(), rows[:, 1].copy()
     drive = OpticalDrive(
         pump_power=entry["pump_w"],
         stokes_power=entry["probe_w"],
@@ -83,8 +152,8 @@ def read_trace(directory: Path, entry: dict) -> BGSTrace:
     )
     return BGSTrace(
         temperature=entry["temperature_k"],
-        detuning_grid=np.asarray(det) * TWO_PI,
-        gain=np.asarray(gain),
+        detuning_grid=det * TWO_PI,
+        gain=gain,
         drive=drive,
         seed=int(entry.get("seed", 0)),
         timestamp_index=int(entry.get("timestamp_index", 0)),

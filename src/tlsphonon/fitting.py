@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import HBAR, KB
 from .dissipation import shift_bracket
@@ -223,6 +222,8 @@ def fit_lorentzian(trace: BGSTrace, sigma: Optional[float] = None) -> Lorentzian
             j *= weights[:, None]
         return j
 
+    from scipy.optimize import least_squares  # ~0.3 s to import; most commands never fit
+
     sol = least_squares(
         residuals, np.array([0.0, 1.0, 1.0]), jac=jacobian,
         bounds=([-np.inf, 1e-12, 1e-12], [np.inf, np.inf, np.inf]),
@@ -334,6 +335,8 @@ def fit_saturation(
                             mode, material, temperature) - g
         return r * weights if weights is not None else r
 
+    from scipy.optimize import least_squares
+
     sol = least_squares(
         residuals, np.array([1.0, 1.0, 1.0]),
         bounds=(np.full(3, 1e-12), np.full(3, np.inf)),
@@ -411,6 +414,8 @@ def fit_saturation_shared(
                 r = r / np.asarray(sigmas[idx], dtype=float)
             out.append(r)
         return np.concatenate(out)
+
+    from scipy.optimize import least_squares
 
     # the start is the scale itself, so every scaled parameter starts at 1
     sol = least_squares(

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.integrate import quad as _scipy_quad
 from scipy.special import psi as _scipy_psi
 
 
@@ -167,7 +166,9 @@ def quad_adaptive(
     # epsabs=0 would make QUADPACK chase pure relative error on integrals
     # that may legitimately be 0; keep a tiny floor instead.
     epsabs = atol if atol > 0.0 else 1e-300
-    out = _scipy_quad(
+    from scipy.integrate import quad  # only the quadrature oracles integrate
+
+    out = quad(
         fn, lo, hi,
         epsabs=epsabs, epsrel=rtol, limit=limit,
         points=mapped_points, full_output=1,

@@ -3,11 +3,18 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import tlsphonon
 from tlsphonon.cli import MODEL_COLUMNS, main, parse_grid, CliError
 from tlsphonon.config import (
     canonical_json,
@@ -16,7 +23,7 @@ from tlsphonon.config import (
     parse_config,
 )
 from tlsphonon.constants import TWO_PI
-from tlsphonon.dataset import read_manifest, read_trace, write_trace
+from tlsphonon.dataset import format_rows, read_manifest, read_trace, write_spectrum, write_trace
 from tlsphonon.dissipation import critical_intensity, decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import run_fit_pipeline
 from tlsphonon.synth import synth_sweep
@@ -120,6 +127,8 @@ class TestDataset:
         assert np.array_equal(back.gain, traces[0].gain)
         assert back.temperature == traces[0].temperature
         assert back.peak_intensity == traces[0].peak_intensity
+        for column in (back.detuning_grid, back.gain):  # owned, not views of a parse buffer
+            assert column.base is None and column.flags.c_contiguous
 
     def test_header_enforced(self, tmp_path):
         config = parse_config(base_doc())
@@ -129,6 +138,87 @@ class TestDataset:
         path.write_text("wrongheader\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_trace(tmp_path, entry)
+
+
+ENTRY = {"file": "spectrum.csv", "temperature_k": 1.2, "pump_w": 0.035, "probe_w": 0.001,
+         "length_m": 100.0, "pump_frequency_hz": 1.94e14}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestRowCodec:
+    """format_rows writes shortest round-trip rows; read_trace reads every v1 layout."""
+
+    @given(gain=hnp.arrays(np.float64, st.integers(1, 40), elements=FINITE),
+           det=hnp.arrays(np.float64, st.integers(1, 40),
+                          elements=st.floats(0.0, 1e300, exclude_min=True)))
+    @example(gain=EXTREMES, det=np.array([5e-324, 1e-310, 1.0, 2.0]))
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_is_bitwise(self, tmp_path, gain, det):
+        det = np.unique(det)[:len(gain)]
+        gain = gain[:len(det)]
+        assume(np.all(np.diff(det * TWO_PI) > 0.0))  # the increasing grid a trace demands
+        write_spectrum(tmp_path / ENTRY["file"], det, gain)
+        back = read_trace(tmp_path, ENTRY)
+        assert np.array_equal(bits(back.gain), bits(gain))
+        assert np.array_equal(bits(back.detuning_grid), bits(det * TWO_PI))
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 4)),
+                      elements=st.floats()))
+    @example(np.array([[np.nan, 1.0], [np.inf, -np.inf], [1e-7, 1e16]]))
+    def test_rows_read_back_by_float(self, matrix):
+        text = format_rows(matrix).decode()
+        assert "null" not in text
+        rows = [[float(v) for v in line.split(",")] for line in text.splitlines()]
+        back = np.array(rows).reshape(matrix.shape)
+        finite = np.isfinite(matrix)
+        assert np.array_equal(bits(back[finite]), bits(matrix[finite]))
+        assert np.array_equal(np.isnan(back), np.isnan(matrix))
+        assert np.array_equal(back[np.isinf(matrix)], matrix[np.isinf(matrix)])
+
+    def test_non_finite_tokens(self):
+        rows = format_rows(np.array([[np.nan, 1e-7], [np.inf, -np.inf], [2.5, -0.0]]))
+        assert rows == b"nan,1e-7\ninf,-inf\n2.5,-0.0\n"
+
+    def test_empty_spectrum_is_header_only(self, tmp_path):
+        write_spectrum(tmp_path / "empty.csv", np.array([]), np.array([]))
+        assert (tmp_path / "empty.csv").read_bytes() == b"detuning_hz,gain_w\n"
+
+    @pytest.mark.parametrize("body", [
+        # repr's layout, as written before the codec: padded exponents
+        "-1e+16,1e-05\n-0.0,-0.0\n1e-05,9.99e-05\n1e+16,1.7976931348623157e+308\n",
+        # tokens float() takes and JSON does not
+        "1.,.5\n+2,-0\n1e5,7\n",
+        # whitespace, CRLF and blank lines around the rows
+        " -2.5 , 3 \r\n4,5e-324\r\n\n\n",
+        # integers, which JSON reads as ints: -0 must keep its sign
+        "1,-0\n2,3\n18446744073709551616,-9223372036854775809\n",
+    ], ids=["repr-layout", "non-json-tokens", "whitespace", "integers"])
+    def test_reads_every_v1_layout(self, tmp_path, body):
+        (tmp_path / ENTRY["file"]).write_bytes(f"detuning_hz,gain_w\n{body}".encode())
+        back = read_trace(tmp_path, ENTRY)
+        want = np.array([[float(v) for v in line.split(",")]
+                         for line in body.strip().splitlines() if line.strip()])
+        assert np.array_equal(bits(back.detuning_grid), bits(want[:, 0] * TWO_PI))
+        assert np.array_equal(bits(back.gain), bits(want[:, 1]))
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\n\n3,4\n", "not enough values to unpack"),
+        ("1,2,3\n", "too many values to unpack"),
+        ("1,null\n", "could not convert string to float: 'null'"),
+        ('1,"2"\n', "could not convert string to float: '\"2\"'"),
+        ("1,2\n3\n", "not enough values to unpack"),
+        ("1,1e400\n", "gain samples must be finite"),
+        ("1,nan\n", "gain samples must be finite"),
+    ], ids=["blank-line", "three-columns", "null", "quoted", "one-column", "overflow", "nan"])
+    def test_damaged_rows_keep_their_errors(self, tmp_path, body, message):
+        (tmp_path / ENTRY["file"]).write_text(f"detuning_hz,gain_w\n{body}")
+        with pytest.raises(ValueError, match=message):
+            read_trace(tmp_path, ENTRY)
 
 
 class TestGridParsing:
@@ -376,6 +466,37 @@ class TestCliSynthFit:
             main([command, *target, "--out", str(tmp_path), "--parallel", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
+    def test_only_fit_loads_optimize_and_integrate(self, workspace, tmp_path):
+        # scipy.optimize and scipy.integrate take ~0.3 s to import; model,
+        # synth and report never call them
+        tmp, config_path, data = workspace
+        assert main(["fit", str(data), "--out", str(tmp_path / "fit")]) == 0
+        script = (
+            "import json, sys\n"
+            "from tlsphonon.cli import main\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
+            "seen = {'import': loaded()}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "    seen[argv[0]] = loaded()\n"
+            "print(json.dumps(seen))\n"
+        )
+        commands = [
+            ["model", "--config", str(config_path), "--out", str(tmp_path / "model"),
+             "--grid", "T=1.1:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"],
+            ["synth", "--config", str(config_path), "--out", str(tmp_path / "data")],
+            ["report", "--out", str(tmp_path / "fit")],
+        ]
+        src = str(Path(tlsphonon.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": [], "model": [], "synth": [], "report": []}
 
     def test_report_requires_fit(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
