@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
+from .numerics import unit_lorentzian
 from .tls_core import (
     DriveState,
     MaterialParams,
@@ -69,8 +70,8 @@ def strain_amplitude_from_intensity(
 
 
 def _lorentzian_pair(detuning_delta, detuning_sigma, t2, resonant_only):
-    l_delta = 1.0 / (1.0 + (detuning_delta * t2) ** 2)
-    l_sigma = 0.0 if resonant_only else 1.0 / (1.0 + (detuning_sigma * t2) ** 2)
+    l_delta = unit_lorentzian(detuning_delta * t2)
+    l_sigma = 0.0 if resonant_only else unit_lorentzian(detuning_sigma * t2)
     return l_delta, l_sigma
 
 

@@ -22,9 +22,10 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, parse_config
 from .constants import TWO_PI
-from .dataset import (format_rows, load_dataset, read_manifest, write_manifest, write_spectrum,
-                      write_trace)
-from .dissipation import critical_intensity, decay_length, gamma_rel_closed, q_factor, total_linewidth
+from .dataset import (format_rows, load_dataset, read_manifest, require_key, write_manifest,
+                      write_spectrum, write_trace)
+from .dissipation import (critical_intensity, decay_length, q_factor, saturation_floor,
+                          total_linewidth)
 from .pipeline import TABLE_COLUMNS, render_report_table, run_fit_pipeline
 from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
 from .synth import plan_acquisitions, run_acquisition
@@ -156,9 +157,8 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     # conservative weak-signal check: the line is narrowest (gain highest)
     # at the saturation floor
     model = plan.model
-    floor = (gamma_rel_closed(plan.t_start, "L", model.material, model.ensemble)
-             + model.ensemble.gamma_bg)
-    g_b_max = g_b_at_linewidth(model.material, floor)
+    g_b_max = g_b_at_linewidth(model.material,
+                               saturation_floor(plan.t_start, model.material, model.ensemble))
     drives = {acq.setting_index: acq.drive for acq in acquisitions}
     for idx, drive in drives.items():
         margin = weak_signal_margin(drive, g_b_max)
@@ -218,7 +218,7 @@ def cmd_report(out_dir: Path) -> str:
     if not path.exists():
         raise CliError(f"no report.json in {out_dir}; run `fit` first")
     doc = json.loads(path.read_text(encoding="utf-8"))
-    config = parse_config(doc["config"])
+    config = parse_config(require_key(doc, "config", path))
     return render_report_table(doc, config)
 
 
@@ -282,7 +282,8 @@ def main(argv=None) -> int:
             if args.config is not None:
                 config = load_config(args.config)
             else:
-                config = parse_config(read_manifest(args.dataset)["config"])
+                config = parse_config(require_key(read_manifest(args.dataset), "config",
+                                                  args.dataset / "manifest.json"))
             return cmd_fit(config, args.dataset, args.out)
         if args.command == "report":
             print(cmd_report(args.out))

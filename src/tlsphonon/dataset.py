@@ -176,11 +176,20 @@ def write_manifest(directory: Path, entries: List[dict], config_doc: dict,
     )
 
 
+def require_key(doc, key: str, path: Path):
+    """``doc[key]``, or a ValueError naming the file ``doc`` came from and the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return doc[key]
+
+
 def read_manifest(directory: Path) -> dict:
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json in {directory}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    require_key(doc, "traces", path)
+    return doc
 
 
 def _off_grid(loaded: List[tuple]) -> List[int]:

@@ -31,6 +31,7 @@ from .numerics import (
     quad2d_adaptive,
     quad_adaptive,
     sech_squared,
+    unit_lorentzian,
 )
 from .tls_core import (
     DriveState,
@@ -39,6 +40,7 @@ from .tls_core import (
     TLSEnsemble,
     _rate_prefactor,
     _require_positive,
+    channel_sum,
     min_lifetime,
 )
 
@@ -64,6 +66,13 @@ class LinewidthBreakdown:
     freq_shift_res: float = 0.0
 
 
+def shift_scale(mode: PhononMode, material: MaterialParams, ensemble: TLSEnsemble) -> float:
+    """P gamma^2 Omega / (rho v^2) [rad/s], the scale of resonant absorption and pull."""
+    gamma = ensemble.deformation_potential(mode.polarization)
+    v = material.sound_speed(mode.polarization)
+    return ensemble.p * gamma ** 2 * mode.omega / (material.rho * v ** 2)
+
+
 def gamma_res_weak(
     mode: PhononMode,
     temperature: float,
@@ -78,10 +87,15 @@ def gamma_res_weak(
     exactly compensates absorption.
     """
     _require_positive(temperature=temperature)
-    gamma = ensemble.deformation_potential(mode.polarization)
-    v = material.sound_speed(mode.polarization)
-    prefactor = math.pi * ensemble.p * gamma ** 2 * mode.omega / (material.rho * v ** 2)
-    return prefactor * np.tanh(HBAR * mode.omega / (2.0 * KB * temperature))
+    return (math.pi * shift_scale(mode, material, ensemble)
+            * np.tanh(HBAR * mode.omega / (2.0 * KB * temperature)))
+
+
+def jc_t1t2(material: MaterialParams, ensemble: TLSEnsemble, polarization: str = "L") -> float:
+    """J_c T1 T2 = hbar^2 rho v^3 / (2 gamma^2) [W s^2/m^2]."""
+    gamma = ensemble.deformation_potential(polarization)
+    v = material.sound_speed(polarization)
+    return HBAR ** 2 * material.rho * v ** 3 / (2.0 * gamma ** 2)
 
 
 def critical_intensity(
@@ -94,7 +108,7 @@ def critical_intensity(
 ) -> float:
     """Acoustic intensity J_c [W/m^2] at which resonant absorption drops by sqrt(2).
 
-    From relaxation times: J_c = hbar^2 rho v^3 / (2 gamma^2 T1 T2); otherwise
+    From relaxation times: J_c = :func:`jc_t1t2` / (T1 T2); otherwise
     falls back to the ensemble's empirical power law J_c = a T^b. Exactly one
     source must be available.
     """
@@ -102,10 +116,7 @@ def critical_intensity(
     if times is not None:
         if ensemble is None:
             raise ValueError("ensemble needed for the deformation potential")
-        gamma = ensemble.deformation_potential(polarization)
-        v = material.sound_speed(polarization)
-        return (HBAR ** 2 * material.rho * v ** 3
-                / (2.0 * gamma ** 2 * times.t1 * times.t2))
+        return jc_t1t2(material, ensemble, polarization) / (times.t1 * times.t2)
     if ensemble is not None and ensemble.jc_power_law is not None:
         return ensemble.j_c_from_power_law(temperature)
     raise ValueError("no J_c source: pass times or an ensemble with a power law")
@@ -122,15 +133,14 @@ def gamma_res_strong(
     """Saturable resonant absorption rate [rad/s]: weak rate / sqrt(1 + J/J_c)."""
     if np.any(np.asarray(intensity) < 0.0):
         raise ValueError("intensity must be >= 0")
-    _require_positive(j_c=j_c)
     weak = gamma_res_weak(mode, temperature, material, ensemble)
-    return weak / np.sqrt(1.0 + intensity / j_c)
+    return weak / suppression_factor(intensity, j_c)
 
 
-def suppression_factor(intensity: float, j_c: float) -> float:
-    """sqrt(1 + J/J_c), the factor by which resonant absorption is suppressed."""
+def suppression_factor(intensity, j_c):
+    """sqrt(1 + J/J_c), by which resonant absorption is suppressed; float or array."""
     _require_positive(j_c=j_c)
-    return math.sqrt(1.0 + intensity / j_c)
+    return np.sqrt(1.0 + intensity / j_c)
 
 
 def gamma_res_integral_oracle(
@@ -163,14 +173,12 @@ def gamma_res_integral_oracle(
     _require_positive(temperature=temperature)
     if intensity < 0.0:
         raise ValueError("intensity must be >= 0")
-    gamma = ensemble.deformation_potential(mode.polarization)
-    v = material.sound_speed(mode.polarization)
     omega = mode.omega
     t2 = times.t2
     j_c = critical_intensity(material, temperature, times=times,
                              ensemble=ensemble, polarization=mode.polarization)
     s = intensity / j_c
-    broadening = math.sqrt(1.0 + s)
+    broadening = float(suppression_factor(intensity, j_c))
 
     if e_max is None:
         e_max = max(
@@ -182,13 +190,8 @@ def gamma_res_integral_oracle(
     two_kt = 2.0 * KB * temperature
 
     def integrand(energy: float) -> float:
-        delta = energy / HBAR - omega
-        l_d = 1.0 / (1.0 + (delta * t2) ** 2)
-        if resonant_only:
-            l_s = 0.0
-        else:
-            sig = energy / HBAR + omega
-            l_s = 1.0 / (1.0 + (sig * t2) ** 2)
+        l_d = unit_lorentzian((energy / HBAR - omega) * t2)
+        l_s = 0.0 if resonant_only else unit_lorentzian((energy / HBAR + omega) * t2)
         return (t2 * math.tanh(energy / two_kt) * (l_d - l_s)
                 / (1.0 + s * (l_d + l_s)))
 
@@ -207,9 +210,7 @@ def gamma_res_integral_oracle(
             f"{result.message} (estimate {result.value!r} +- {result.error_estimate!r})",
             result=result,
         )
-    prefactor = (ensemble.p * gamma ** 2 * omega
-                 / (HBAR * material.rho * v ** 2))
-    return prefactor * result.value
+    return shift_scale(mode, material, ensemble) / HBAR * result.value
 
 
 def shift_bracket(omega: float, temperature: float) -> float:
@@ -239,11 +240,8 @@ def freq_shift_res(
     intensity argument); zero at T = T_ref.
     """
     _require_positive(temperature=temperature, t_ref=t_ref)
-    gamma = ensemble.deformation_potential(mode.polarization)
-    v = material.sound_speed(mode.polarization)
-    scale = ensemble.p * gamma ** 2 * mode.omega / (material.rho * v ** 2)
-    return -scale * (shift_bracket(mode.omega, temperature)
-                     - shift_bracket(mode.omega, t_ref))
+    return -shift_scale(mode, material, ensemble) * (
+        shift_bracket(mode.omega, temperature) - shift_bracket(mode.omega, t_ref))
 
 
 def gamma_rel_closed(
@@ -264,11 +262,19 @@ def gamma_rel_closed(
     _require_positive(temperature=temperature)
     gamma = ensemble.deformation_potential(polarization)
     v = material.sound_speed(polarization)
-    channel_sum = (ensemble.gamma_l ** 2 / material.v_l ** 5
-                   + ensemble.gamma_t ** 2 / material.v_t ** 5)
     return (math.pi ** 3 / 24.0
             * ensemble.p * gamma ** 2 / (material.rho ** 2 * v ** 2 * HBAR ** 4)
-            * channel_sum * (KB * temperature) ** 3)
+            * channel_sum(material, ensemble) * (KB * temperature) ** 3)
+
+
+def saturation_floor(
+    temperature: float,
+    material: MaterialParams,
+    ensemble: TLSEnsemble,
+    polarization: str = "L",
+) -> float:
+    """Gamma_rel + Gamma_bg [rad/s], what is left once resonant absorption saturates."""
+    return gamma_rel_closed(temperature, polarization, material, ensemble) + ensemble.gamma_bg
 
 
 def gamma_rel_integral_oracle(

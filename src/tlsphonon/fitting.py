@@ -9,6 +9,11 @@ decomposes into relaxation absorption plus a constant floor; and the fitted
 coupling predicts the frequency drift for comparison against the measured
 line centers.
 
+Every model a fit inverts is a forward function of :mod:`tlsphonon.dissipation`
+or :mod:`tlsphonon.sbs`, evaluated at unit P gamma^2 or gamma_L^2 where a fit
+needs a coefficient per unit of either. Both saturation fits are one least
+squares over the points of every bin at once.
+
 All fitters are deterministic: fixed initialization rules, fixed iteration
 schedule, no randomized restarts. Covariances come from the Jacobian at the
 optimum scaled by the residual variance.
@@ -23,8 +28,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import HBAR, KB
-from .dissipation import shift_bracket
+from .constants import HBAR
+from .dissipation import (
+    freq_shift_res,
+    gamma_rel_closed,
+    gamma_res_strong,
+    gamma_res_weak,
+    jc_t1t2,
+)
+from .sbs import lorentzian_profile
 from .synth import BGSTrace
 from .tls_core import MaterialParams, PhononMode, TLSEnsemble, min_lifetime
 
@@ -140,11 +152,6 @@ class TimesExtraction:
 # Lorentzian stage
 # ---------------------------------------------------------------------------
 
-def _lorentzian(omega, center, gamma, peak):
-    half = gamma / 2.0
-    return peak * half ** 2 / ((omega - center) ** 2 + half ** 2)
-
-
 def _half_max_width(x, y, i_peak):
     """Distance between the half-maximum crossings around the peak sample."""
     half = y[i_peak] / 2.0
@@ -205,7 +212,7 @@ def fit_lorentzian(trace: BGSTrace, sigma: Optional[float] = None) -> Lorentzian
         center = center0 + p[0] * scale[0]
         gamma = p[1] * scale[1]
         peak = p[2] * scale[2]
-        r = _lorentzian(x, center, gamma, peak) - y
+        r = peak * lorentzian_profile(x, center, gamma) - y
         return r * weights if weights is not None else r
 
     def jacobian(p):
@@ -263,24 +270,27 @@ def _covariance_from_jacobian(jac: np.ndarray, residuals: np.ndarray) -> np.ndar
 # saturation stage
 # ---------------------------------------------------------------------------
 
+def _coupling(p_gamma2: float) -> TLSEnsemble:
+    """Unit deformation potentials, so P gamma^2 = ``p_gamma2`` in either polarization."""
+    return TLSEnsemble(p=p_gamma2, gamma_l=1.0, gamma_t=1.0)
+
+
 def saturation_rate(j, p_gamma2, j_c, gamma0, mode: PhononMode,
                     material: MaterialParams, temperature: float):
-    """Gamma(J) = pi (P gamma^2) Omega tanh(hbar Omega/2kT) / (rho v^2 sqrt(1+J/J_c)) + Gamma0."""
-    v = material.sound_speed(mode.polarization)
-    amp = (math.pi * p_gamma2 * mode.omega / (material.rho * v ** 2)
-           * math.tanh(HBAR * mode.omega / (2.0 * KB * temperature)))
-    return amp / np.sqrt(1.0 + np.asarray(j, dtype=float) / j_c) + gamma0
+    """Gamma(J) = Gamma_res(J) + Gamma0 with P gamma^2 = ``p_gamma2``: the
+    model every saturation fit inverts. Everything but ``p_gamma2`` and
+    ``material`` may be an array, the mode frequency included."""
+    return gamma_res_strong(mode, temperature, np.asarray(j, dtype=float), j_c,
+                            material, _coupling(p_gamma2)) + gamma0
 
 
 def _check_saturation_points(j):
-    j = np.asarray(j, dtype=float)
     if len(j) < 5:
         raise FitError(f"saturation fit needs >= 5 intensity points, got {len(j)}")
     if np.any(j <= 0.0):
         raise FitError("saturation fit needs strictly positive intensities")
     if j.max() / j.min() < 10.0:
         raise FitError("saturation fit needs intensities spanning at least one decade")
-    return j
 
 
 def _warn_if_flat(j, j_c_hat, temperature):
@@ -289,20 +299,74 @@ def _warn_if_flat(j, j_c_hat, temperature):
             f"saturation fit at T={temperature} K is in a flat direction "
             f"(J/J_c all {'<< 1' if j.max() < 0.1 * j_c_hat else '>> 1'}); "
             "J_c is weakly identified and its covariance is inflated",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _saturation_start(j, g, mode: PhononMode, material: MaterialParams,
-                      temperature: float) -> Tuple[float, float, float]:
-    """Starting (p_gamma2, j_c, gamma0) by the rule fit_saturation documents;
-    the saturable amplitude is floored at 1e-3 gamma0."""
-    v = material.sound_speed(mode.polarization)
-    tanh_fac = math.tanh(HBAR * mode.omega / (2.0 * KB * temperature))
+def _saturation_start(j, g, unit_rate: float) -> Tuple[float, float, float]:
+    """Starting (p_gamma2, j_c, gamma0) by the rule fit_saturation documents,
+    given the weak resonant rate per unit P gamma^2. The saturable amplitude
+    is floored at 1e-3 gamma0, and gamma0 at 1e-3 of the linewidth range so
+    that a zero smallest linewidth still gets a positive scale."""
     gamma0 = float(np.min(g))
     amp = max(float(np.max(g) - gamma0), 1e-3 * gamma0)
-    amp_to_pg2 = material.rho * v ** 2 / (math.pi * mode.omega * tanh_fac)
-    return amp * amp_to_pg2, float(np.median(j)), gamma0
+    return (amp / unit_rate, float(np.median(j)),
+            max(gamma0, 1e-3 * float(np.max(g) - np.min(g))))
+
+
+def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
+    """(per-bin fits, sigma of P gamma^2) of one least squares over the (J, Gamma)
+    points of all bins: a shared P gamma^2 plus a J_c and a Gamma0 per bin.
+
+    The residual is :func:`saturation_rate` over all points at once, each
+    point carrying its bin's mode frequency, temperature and parameters, so
+    it has no loop over bins. Parameters are scaled by their
+    :func:`_saturation_start` values, P gamma^2 by the median of the bins'.
+    """
+    n = len(bins)
+    arrays = [np.asarray(points, dtype=float) for _, _, points in bins]
+    bin_of = np.repeat(np.arange(n), [len(a) for a in arrays])
+    j, g = np.concatenate(arrays).T
+    temperatures = np.array([t for t, _, _ in bins])[bin_of]
+    # every bin probes one acoustic branch, so one mode object holds them all
+    modes = PhononMode.in_material(material, np.array([m.omega for _, m, _ in bins])[bin_of],
+                                   bins[0][1].polarization)
+    # the weak resonant rate is linear in P gamma^2: evaluated per unit, it
+    # turns each bin's starting amplitude into a P gamma^2
+    starts = np.array([
+        _saturation_start(a[:, 0], a[:, 1],
+                          float(gamma_res_weak(mode, t, material, _coupling(1.0))))
+        for (t, mode, _), a in zip(bins, arrays)])
+    scale = np.concatenate([[np.median(starts[:, 0])], starts[:, 1], starts[:, 2]])
+    weights = None if sigmas is None else 1.0 / np.concatenate(sigmas)
+
+    def residuals(p):
+        x = p * scale
+        r = saturation_rate(j, x[0], x[1:1 + n][bin_of], x[1 + n:][bin_of],
+                            modes, material, temperatures) - g
+        return r * weights if weights is not None else r
+
+    from scipy.optimize import least_squares  # ~0.3 s to import; most commands never fit
+
+    # the start is the scale itself, so every scaled parameter starts at 1
+    sol = least_squares(
+        residuals, np.ones(1 + 2 * n),
+        bounds=(np.full(1 + 2 * n, 1e-12), np.full(1 + 2 * n, np.inf)),
+        xtol=1e-10, ftol=None, gtol=None, max_nfev=max_nfev,
+    )
+    if sol.status == 0:
+        raise FitError(f"saturation fit did not converge within {max_nfev} evaluations")
+
+    cov = np.diag(scale) @ _covariance_from_jacobian(sol.jac, sol.fun) @ np.diag(scale)
+    x = sol.x * scale
+    per_bin = []
+    for idx, ((temperature, _, _), pts) in enumerate(zip(bins, arrays)):
+        sel = [0, 1 + idx, 1 + n + idx]  # (p_gamma2, j_c, gamma0)
+        fit = SaturationFit(*map(float, x[sel]), covariance=cov[np.ix_(sel, sel)],
+                            temperature=temperature)
+        _warn_if_flat(pts[:, 0], fit.j_c, temperature)
+        per_bin.append(fit)
+    return per_bin, float(math.sqrt(max(cov[0, 0], 0.0)))
 
 
 def fit_saturation(
@@ -319,43 +383,11 @@ def fit_saturation(
     entirely in the unsaturated (or fully saturated) regime cannot pin J_c;
     that case completes but emits a flat-direction warning.
     """
-    pts = np.asarray(points, dtype=float)
-    j = _check_saturation_points(pts[:, 0])
-    g = pts[:, 1]
-    weights = None
-    if sigmas is not None:
-        weights = 1.0 / np.asarray(sigmas, dtype=float)
-
-    pg2_init, jc_init, gamma0_init = _saturation_start(j, g, mode, material, temperature)
-    # a zero smallest linewidth still gets a positive gamma0 scale
-    scale = np.array([pg2_init, jc_init, max(gamma0_init, 1e-3 * float(g.max() - g.min()))])
-
-    def residuals(p):
-        r = saturation_rate(j, p[0] * scale[0], p[1] * scale[1], p[2] * scale[2],
-                            mode, material, temperature) - g
-        return r * weights if weights is not None else r
-
-    from scipy.optimize import least_squares
-
-    sol = least_squares(
-        residuals, np.array([1.0, 1.0, 1.0]),
-        bounds=(np.full(3, 1e-12), np.full(3, np.inf)),
-        xtol=1e-10, ftol=None, gtol=None, max_nfev=MAX_FIT_EVALS,
-    )
-    if sol.status == 0:
-        raise FitError(f"saturation fit did not converge within {MAX_FIT_EVALS} evaluations")
-
-    s = np.diag(scale)
-    cov = s @ _covariance_from_jacobian(sol.jac, sol.fun) @ s
-    fit = SaturationFit(
-        p_gamma2=float(sol.x[0] * scale[0]),
-        j_c=float(sol.x[1] * scale[1]),
-        gamma0=float(sol.x[2] * scale[2]),
-        covariance=cov,
-        temperature=temperature,
-    )
-    _warn_if_flat(j, fit.j_c, temperature)
-    return fit
+    _check_saturation_points(np.asarray(points, dtype=float)[:, 0])
+    per_bin, _ = _solve_saturation(
+        [(temperature, mode, points)], material,
+        None if sigmas is None else [sigmas], MAX_FIT_EVALS)
+    return per_bin[0]
 
 
 @dataclass(frozen=True)
@@ -374,80 +406,17 @@ def fit_saturation_shared(
 ) -> SharedSaturationResult:
     """Saturation fits for every temperature bin with a shared P gamma^2.
 
-    The coupling product is a material constant, so by default it is fit
-    globally: parameters are (p_gamma2, {j_c_i}, {gamma0_i}). Per-bin fits
-    seed the initialization; bins whose individual fit fails fall back to
-    heuristic starting values rather than aborting the stage.
+    The coupling product is a material constant, so it is fit globally:
+    parameters are (p_gamma2, {j_c_i}, {gamma0_i}), solved in one least
+    squares. Every bin starts from the rule fit_saturation documents, and
+    P gamma^2 from the median of the bins' starts. A bin too small for a fit
+    of its own still takes part; it needs no point count or decade span.
     """
     if not bins:
         raise FitError("no bins to fit")
-    n = len(bins)
-    arrays = [np.asarray(points, dtype=float) for _, _, points in bins]
-    inits = []
-    for idx, (temperature, mode, points) in enumerate(bins):
-        s = sigmas[idx] if sigmas is not None else None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                f = fit_saturation(points, mode, material, temperature, sigmas=s)
-            inits.append((f.p_gamma2, f.j_c, f.gamma0))
-        except FitError:
-            pts = arrays[idx]
-            inits.append(_saturation_start(pts[:, 0], pts[:, 1], mode, material, temperature))
-
-    pg2_0 = float(np.median([i[0] for i in inits]))
-    scale = np.concatenate([[pg2_0], [i[1] for i in inits], [i[2] for i in inits]])
-
-    def unpack(p):
-        pg2 = p[0] * scale[0]
-        jcs = p[1:1 + n] * scale[1:1 + n]
-        g0s = p[1 + n:] * scale[1 + n:]
-        return pg2, jcs, g0s
-
-    def residuals(p):
-        pg2, jcs, g0s = unpack(p)
-        out = []
-        for idx, ((temperature, mode, _), pts) in enumerate(zip(bins, arrays)):
-            r = saturation_rate(pts[:, 0], pg2, jcs[idx], g0s[idx],
-                                mode, material, temperature) - pts[:, 1]
-            if sigmas is not None:
-                r = r / np.asarray(sigmas[idx], dtype=float)
-            out.append(r)
-        return np.concatenate(out)
-
-    from scipy.optimize import least_squares
-
-    # the start is the scale itself, so every scaled parameter starts at 1
-    sol = least_squares(
-        residuals, np.ones(1 + 2 * n),
-        bounds=(np.full(1 + 2 * n, 1e-12), np.full(1 + 2 * n, np.inf)),
-        xtol=1e-10, ftol=None, gtol=None, max_nfev=200 * (1 + 2 * n),
-    )
-    if sol.status == 0:
-        raise FitError("shared saturation fit did not converge")
-
-    s_mat = np.diag(scale)
-    cov = s_mat @ _covariance_from_jacobian(sol.jac, sol.fun) @ s_mat
-    pg2, jcs, g0s = unpack(sol.x)
-
-    per_bin = []
-    for idx, ((temperature, _, _), pts) in enumerate(zip(bins, arrays)):
-        sel = np.array([0, 1 + idx, 1 + n + idx])
-        sub = cov[np.ix_(sel, sel)]
-        fit = SaturationFit(
-            p_gamma2=float(pg2),
-            j_c=float(jcs[idx]),
-            gamma0=float(g0s[idx]),
-            covariance=sub,
-            temperature=temperature,
-        )
-        _warn_if_flat(pts[:, 0], fit.j_c, temperature)
-        per_bin.append(fit)
-    return SharedSaturationResult(
-        p_gamma2=float(pg2),
-        p_gamma2_sigma=float(math.sqrt(max(cov[0, 0], 0.0))),
-        per_bin=per_bin,
-    )
+    per_bin, sigma = _solve_saturation(bins, material, sigmas, 200 * (1 + 2 * len(bins)))
+    return SharedSaturationResult(p_gamma2=per_bin[0].p_gamma2, p_gamma2_sigma=sigma,
+                                  per_bin=per_bin)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +450,13 @@ def fit_gamma0_decomposition(
     points: Sequence[Tuple[float, float]],
     material: MaterialParams,
     p_gamma2: float,
-    *,
-    polarization: str = "L",
-    gamma_t_ratio_sq: float = 0.5,
-    sigmas: Optional[Sequence[float]] = None,
 ) -> Gamma0Decomposition:
     """Split the fitted offsets Gamma0(T) into c T^3 + Gamma_bg.
 
     Linear least squares in (T^3, 1). With the coupling product from the
-    saturation stage held fixed and gamma_t^2 = gamma_t_ratio_sq * gamma_l^2,
-    the cubic coefficient determines the deformation potential and the bare
-    spectral density.
+    saturation stage held fixed, and the transverse coupling the ensemble's
+    default, the cubic coefficient determines the longitudinal deformation
+    potential and the bare spectral density.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 3:
@@ -499,27 +464,19 @@ def fit_gamma0_decomposition(
     t3 = pts[:, 0] ** 3
     g0 = pts[:, 1]
     design = np.column_stack([t3, np.ones_like(t3)])
-    if sigmas is not None:
-        w = 1.0 / np.asarray(sigmas, dtype=float)
-        coef, *_ = np.linalg.lstsq(design * w[:, None], g0 * w, rcond=None)
-        resid = (g0 - design @ coef) * w
-        jtj = (design * w[:, None]).T @ (design * w[:, None])
-    else:
-        coef, *_ = np.linalg.lstsq(design, g0, rcond=None)
-        resid = g0 - design @ coef
-        jtj = design.T @ design
+    coef, *_ = np.linalg.lstsq(design, g0, rcond=None)
+    resid = g0 - design @ coef
     dof = max(len(pts) - 2, 1)
-    cov = float(resid @ resid) / dof * np.linalg.inv(jtj)
+    cov = float(resid @ resid) / dof * np.linalg.inv(design.T @ design)
     coeff_t3, gamma_bg = float(coef[0]), float(coef[1])
     if coeff_t3 <= 0.0:
         raise FitError("offset decomposition found a nonpositive cubic term; "
                        "relaxation absorption is not identifiable in this data")
 
-    v = material.sound_speed(polarization)
-    channel = 1.0 / material.v_l ** 5 + gamma_t_ratio_sq / material.v_t ** 5
-    k = (math.pi ** 3 / 24.0 * KB ** 3 * channel
-         / (material.rho ** 2 * v ** 2 * HBAR ** 4))
-    gamma_l_sq = coeff_t3 / (k * p_gamma2)
+    # Gamma_rel is linear in gamma_L^2 at fixed P gamma_L^2: the cubic
+    # coefficient per unit gamma_L^2 is Gamma_rel(1 K) at gamma_L = 1
+    per_unit = gamma_rel_closed(1.0, "L", material, TLSEnsemble(p=p_gamma2, gamma_l=1.0))
+    gamma_l_sq = coeff_t3 / per_unit
     gamma_l = math.sqrt(gamma_l_sq)
     return Gamma0Decomposition(
         coeff_t3=coeff_t3,
@@ -539,12 +496,11 @@ def extract_times(
 ) -> TimesExtraction:
     """Relaxation times from a fitted critical intensity.
 
-    T1 T2 = hbar^2 rho v^3 / (2 gamma^2 J_c); T1 is estimated as the minimum
-    TLS lifetime at the probed splitting, and T2 follows from the product.
+    T1 T2 = :func:`~tlsphonon.dissipation.jc_t1t2` / J_c; T1 is estimated as
+    the minimum TLS lifetime at the probed splitting, and T2 follows from the
+    product.
     """
-    gamma = ensemble.deformation_potential(mode.polarization)
-    v = material.sound_speed(mode.polarization)
-    t1_t2 = HBAR ** 2 * material.rho * v ** 3 / (2.0 * gamma ** 2 * sat.j_c)
+    t1_t2 = jc_t1t2(material, ensemble, mode.polarization) / sat.j_c
     t1 = min_lifetime(HBAR * mode.omega, material, ensemble, temperature)
     return TimesExtraction(t1_t2=t1_t2, t1=t1, t2=t1_t2 / t1)
 
@@ -561,15 +517,15 @@ def compare_freq_shift(
     *,
     p_gamma2: Optional[float] = None,
     p_gamma2_sigma: float = 0.0,
-    polarization: str = "L",
 ) -> List[FreqShiftRow]:
     """Measured center drift vs the resonant-absorption prediction.
 
     The fit whose temperature is closest to ``t0`` anchors both columns, so
     the reference row reads (0, 0) exactly. The prediction uses the supplied
     coupling product (typically the saturation-stage fit; falls back to the
-    ensemble's); its covariance propagates into the per-row uncertainty
-    together with the measured center uncertainties.
+    ensemble's P gamma_L^2) in :func:`~tlsphonon.dissipation.freq_shift_res`
+    at the reference center frequency; its covariance propagates into the
+    per-row uncertainty together with the measured center uncertainties.
     """
     if not fits:
         raise FitError("no fits to compare")
@@ -579,23 +535,21 @@ def compare_freq_shift(
     ref_idx = int(np.argmin(np.abs(temps - t0)))
     t_ref, ref = fits[ref_idx]
     if p_gamma2 is None:
-        p_gamma2 = ensemble.p * ensemble.deformation_potential(polarization) ** 2
+        p_gamma2 = ensemble.p * ensemble.gamma_l ** 2
 
-    v = material.sound_speed(polarization)
-    omega0 = ref.omega_hat
-    scale = p_gamma2 * omega0 / (material.rho * v ** 2)
-    bracket_ref = shift_bracket(omega0, t_ref)
+    mode = PhononMode.in_material(material, ref.omega_hat, "L")
+    shifts = freq_shift_res(mode, temps, t_ref, material, _coupling(p_gamma2))
     rows = []
-    for temperature, fit in fits:
+    for (temperature, fit), shift in zip(fits, shifts):
         if fit is ref:
             measured = 0.0
             predicted = 0.0
             sigma_meas = 0.0
         else:
             measured = fit.omega_hat - ref.omega_hat
-            predicted = -scale * (shift_bracket(omega0, temperature) - bracket_ref)
+            predicted = float(shift)
             sigma_meas = math.hypot(fit.omega_sigma, ref.omega_sigma)
-        sigma_pred = abs(predicted) * (p_gamma2_sigma / p_gamma2) if p_gamma2 > 0 else 0.0
+        sigma_pred = abs(predicted) * (p_gamma2_sigma / p_gamma2)
         rows.append(FreqShiftRow(
             temperature=temperature,
             measured=measured,

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.special import psi as _scipy_psi
-
 
 class QuadratureError(RuntimeError):
     """Raised when an adaptive quadrature fails to converge.
@@ -79,6 +77,11 @@ def sech_squared(x: float) -> float:
     return 1.0 / (c * c)
 
 
+def unit_lorentzian(x):
+    """1 / (1 + x^2), the Lorentzian of unit peak and half-width; float or array."""
+    return 1.0 / (1.0 + x * x)
+
+
 def bose_occupation(x: float) -> float:
     """Mean thermal occupation 1/(e^x - 1) for x = E/kT > 0."""
     if x <= 0.0:
@@ -98,7 +101,9 @@ def digamma_half_plus_imag(x):
     Even in x; equals psi(1/2) = -euler_gamma - 2 ln 2 at x = 0 and grows
     like ln|x| for large |x|. Accepts a float or an array.
     """
-    return _scipy_psi(0.5 + 1j * abs(x)).real
+    from scipy.special import psi  # ~0.3 s to import; most commands never call it
+
+    return psi(0.5 + 1j * abs(x)).real
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .fitting import (
     fit_saturation,
     fit_saturation_shared,
 )
-from .sbs import g_b_at_linewidth, phonon_intensity
+from .sbs import peak_phonon_intensity
 from .synth import BGSTrace, bin_traces
 from .tls_core import PhononMode
 
@@ -95,11 +95,7 @@ def _assign_intensity(trace: BGSTrace, fit: LorentzianFit, config: RunConfig) ->
     """
     if trace.peak_intensity > 0.0:
         return trace.peak_intensity
-    g_b = g_b_at_linewidth(config.material, fit.gamma_hat)
-    return float(phonon_intensity(
-        trace.drive, fit.omega_hat, fit.gamma_hat, config.material, g_b,
-        omega_im=fit.omega_hat,
-    ))
+    return peak_phonon_intensity(trace.drive, fit.omega_hat, fit.gamma_hat, config.material)
 
 
 def _bin_stage(traces: List[BGSTrace], bin_width: float) -> List[FitUnit]:
@@ -208,12 +204,9 @@ def _times_stage(saturation: List[SaturationFit], bins, decomposition,
     """Per-temperature rows: the saturation fit and the relaxation times."""
     ensemble_fit = config.ensemble
     if decomposition is not None:
-        ensemble_fit = replace(
-            config.ensemble,
-            p=decomposition.p,
-            gamma_l=decomposition.gamma_l,
-            gamma_t=decomposition.gamma_l / math.sqrt(2.0),
-        )
+        # gamma_t=None: the default transverse coupling the decomposition assumed
+        ensemble_fit = replace(config.ensemble, p=decomposition.p,
+                               gamma_l=decomposition.gamma_l, gamma_t=None)
     rows = []
     for sat, (_, mode, _) in zip(saturation, bins):
         times = extract_times(sat, config.material, ensemble_fit, mode, sat.temperature)

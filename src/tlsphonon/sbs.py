@@ -10,11 +10,13 @@ experimentalist dials the acoustic drive without touching the sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT
+from .numerics import unit_lorentzian
 from .tls_core import MaterialParams, _require_positive
 
 WEAK_SIGNAL_WARN_LEVEL = 0.1  # g_B P_p L above this is no longer "weak"
@@ -39,8 +41,9 @@ class OpticalDrive:
     fiber_length: float
 
     def __post_init__(self):
-        if self.pump_power < 0.0 or self.stokes_power < 0.0:
-            raise ValueError("optical powers must be >= 0")
+        if not (0.0 <= self.pump_power < math.inf and 0.0 <= self.stokes_power < math.inf):
+            raise ValueError(f"optical powers must be finite and >= 0, got {self.pump_power!r} "
+                             f"and {self.stokes_power!r} W")
         _require_positive(pump_omega=self.pump_omega, detuning=self.detuning,
                           fiber_length=self.fiber_length)
 
@@ -78,8 +81,7 @@ def phase_match_residual(omega_p, omega_s, omega_ac, k_p, k_s, q):
 
 def lorentzian_profile(omega_im, center: float, gamma: float):
     """Unit-peak Lorentzian (Gamma/2)^2 / ((center - omega_im)^2 + (Gamma/2)^2)."""
-    half = gamma / 2.0
-    return half ** 2 / ((center - np.asarray(omega_im, dtype=float)) ** 2 + half ** 2)
+    return unit_lorentzian((center - np.asarray(omega_im, dtype=float)) / (gamma / 2.0))
 
 
 def stokes_gain(
@@ -152,3 +154,15 @@ def phonon_intensity(
     if np.ndim(omega_im) == 0:
         return float(out)
     return out
+
+
+def peak_phonon_intensity(
+    drive: OpticalDrive,
+    omega_ac: float,
+    gamma: float,
+    material: MaterialParams,
+) -> float:
+    """Acoustic intensity [W/m^2] at line center with the gain coefficient
+    rescaled to linewidth ``gamma``, so that it scales exactly as 1/gamma^2."""
+    return phonon_intensity(drive, omega_ac, gamma, material,
+                            g_b_at_linewidth(material, gamma), omega_im=omega_ac)

@@ -29,10 +29,17 @@ from .dissipation import (
     LinewidthBreakdown,
     critical_intensity,
     freq_shift_res,
-    gamma_rel_closed,
     gamma_res_weak,
+    saturation_floor,
+    suppression_factor,
 )
-from .sbs import OpticalDrive, brillouin_frequency, g_b_at_linewidth, stokes_gain
+from .sbs import (
+    OpticalDrive,
+    brillouin_frequency,
+    g_b_at_linewidth,
+    peak_phonon_intensity,
+    stokes_gain,
+)
 from .tls_core import MaterialParams, PhononMode, TLSEnsemble, _require_positive
 
 RUNG_STEP_K = 0.1          # the acquisition protocol is phrased per 100 mK
@@ -202,19 +209,16 @@ def solve_self_consistent(
         center = model.line_center(temperature)
     mode = PhononMode.in_material(material, center, "L")
     gamma_weak = gamma_res_weak(mode, temperature, material, ensemble)
-    floor = gamma_rel_closed(temperature, "L", material, ensemble) + ensemble.gamma_bg
+    floor = saturation_floor(temperature, material, ensemble)
     j_c = model.j_c(temperature, "L")
 
-    # J_peak(Gamma) = coupling / Gamma^2 at omega_IM = center
-    omega_s = drive.pump_omega - center
-    coupling = (material.sound_speed("L") * material.g_b_ref * material.gamma_ref
-                * drive.pump_power * drive.stokes_power
-                * (center / omega_s) / material.a_eff)
+    # J_peak(Gamma) = coupling / Gamma^2, so coupling is J_peak at unit linewidth
+    coupling = peak_phonon_intensity(drive, center, 1.0, material)
 
     gamma = gamma_weak + floor
     for iteration in range(1, max_iter + 1):
         j_peak = coupling / gamma ** 2
-        new_gamma = gamma_weak / math.sqrt(1.0 + j_peak / j_c) + floor
+        new_gamma = gamma_weak / suppression_factor(j_peak, j_c) + floor
         residual = abs(new_gamma - gamma) / new_gamma
         gamma = new_gamma
         if residual < tol:
@@ -257,8 +261,7 @@ def default_detuning_grid(
     center = model.line_center(temperature)
     mode = PhononMode.in_material(model.material, center, "L")
     expected = (gamma_res_weak(mode, temperature, model.material, model.ensemble)
-                + gamma_rel_closed(temperature, "L", model.material, model.ensemble)
-                + model.ensemble.gamma_bg)
+                + saturation_floor(temperature, model.material, model.ensemble))
     return np.linspace(center - span * expected, center + span * expected, points)
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .constants import EV, HBAR, KB, TWO_PI
-from .numerics import coth
+from .numerics import bose_occupation, coth
 
 _POLARIZATIONS = ("L", "T")
 
@@ -151,7 +151,11 @@ class TLSState:
 
 @dataclass(frozen=True)
 class PhononMode:
-    """A single acoustic mode: angular frequency, polarization, wavevector."""
+    """An acoustic mode: angular frequency, polarization, wavevector.
+
+    Frequency and wavevector may also be matching arrays, one mode of this
+    polarization per element; the closed forms broadcast over them.
+    """
 
     omega: float
     polarization: str
@@ -235,11 +239,15 @@ def equilibrium_inversion(energy: float, temperature: float) -> float:
     return -math.tanh(energy / (2.0 * KB * temperature))
 
 
+def channel_sum(material: MaterialParams, ensemble: TLSEnsemble) -> float:
+    """sum_eta gamma_eta^2 / v_eta^5 over the L and T phonon branches."""
+    return (ensemble.gamma_l ** 2 / material.v_l ** 5
+            + ensemble.gamma_t ** 2 / material.v_t ** 5)
+
+
 def _rate_prefactor(material: MaterialParams, ensemble: TLSEnsemble) -> float:
     """sum_eta gamma_eta^2 / v_eta^5, divided by 2 pi rho hbar^4."""
-    s = (ensemble.gamma_l ** 2 / material.v_l ** 5
-         + ensemble.gamma_t ** 2 / material.v_t ** 5)
-    return s / (TWO_PI * material.rho * HBAR ** 4)
+    return channel_sum(material, ensemble) / (TWO_PI * material.rho * HBAR ** 4)
 
 
 def golden_rule_rate(
@@ -278,11 +286,7 @@ def tls_transition_rates(
     _require_positive(temperature=temperature)
     e = tls_energy(state)
     base = _rate_prefactor(material, ensemble) * e * state.delta0 ** 2
-    x = e / (KB * temperature)
-    if x > 700.0:
-        n = 0.0
-    else:
-        n = 1.0 / math.expm1(x)
+    n = bose_occupation(e / (KB * temperature))
     return base * n, base * (n + 1.0)
 
 

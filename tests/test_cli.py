@@ -423,7 +423,7 @@ class TestCliSynthFit:
         assert any(victim.name in err for err in report["errors"])
         assert report["per_temperature"]  # pipeline still completed
 
-    @pytest.mark.parametrize("fault", [*TRACE_FAULTS, "missing-pump_w"])
+    @pytest.mark.parametrize("fault", [*TRACE_FAULTS, "missing-pump_w", "nan-pump_w"])
     def test_damaged_trace_is_recorded_and_skipped(self, workspace, tmp_path, fault):
         import shutil
         tmp, config_path, data = workspace
@@ -431,8 +431,11 @@ class TestCliSynthFit:
         shutil.copytree(data, broken)
         manifest = read_manifest(broken)
         victim = manifest["traces"][3]
-        if fault == "missing-pump_w":
-            del victim["pump_w"]
+        if fault.endswith("pump_w"):
+            if fault == "missing-pump_w":
+                del victim["pump_w"]
+            else:
+                victim["pump_w"] = float("nan")  # json writes the literal NaN
             (broken / "manifest.json").write_text(json.dumps(manifest))
         else:
             path = broken / victim["file"]
@@ -468,15 +471,23 @@ class TestCliSynthFit:
         assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
     def test_only_fit_loads_optimize_and_integrate(self, workspace, tmp_path):
-        # scipy.optimize and scipy.integrate take ~0.3 s to import; model,
-        # synth and report never call them
+        # scipy.optimize, scipy.integrate and scipy.special take ~0.3 s each
+        # to import; model, synth and report never call the first two, and
+        # call the digamma of scipy.special only for a frequency shift, which
+        # neither this model grid (no fit.t0_k) nor a synth without center
+        # drift evaluates
         tmp, config_path, data = workspace
         assert main(["fit", str(data), "--out", str(tmp_path / "fit")]) == 0
+        doc = base_doc()
+        doc["synth"]["center_drift"] = False
+        steady = tmp_path / "steady.json"
+        steady.write_text(json.dumps(doc))
         script = (
             "import json, sys\n"
             "from tlsphonon.cli import main\n"
             "def loaded():\n"
-            "    return [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
+            "    return [m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special')\n"
+            "            if m in sys.modules]\n"
             "seen = {'import': loaded()}\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0\n"
@@ -486,7 +497,7 @@ class TestCliSynthFit:
         commands = [
             ["model", "--config", str(config_path), "--out", str(tmp_path / "model"),
              "--grid", "T=1.1:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"],
-            ["synth", "--config", str(config_path), "--out", str(tmp_path / "data")],
+            ["synth", "--config", str(steady), "--out", str(tmp_path / "data")],
             ["report", "--out", str(tmp_path / "fit")],
         ]
         src = str(Path(tlsphonon.__file__).resolve().parents[1])
@@ -504,6 +515,34 @@ class TestCliSynthFit:
 
 
 class TestFailureContract:
+    def test_nan_power_setting_is_a_config_error(self, tmp_path, capsys):
+        # json reads the literal NaN, and NaN passes the schema's minimum
+        doc = base_doc()
+        doc["synth"]["power_settings_w"][0] = [float("nan"), 0.01]
+        config_path = write_config(tmp_path, doc)
+        assert "NaN" in config_path.read_text()
+        assert main(["synth", "--config", str(config_path),
+                     "--out", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: optical powers must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["report-without-config", "manifest-without-traces",
+                                      "manifest-without-config"])
+    def test_missing_json_key_names_file_and_key(self, tmp_path, capsys, case):
+        if case == "report-without-config":
+            (tmp_path / "report.json").write_text(json.dumps({"per_temperature": []}))
+            argv, name, key = ["report", "--out", str(tmp_path)], "report.json", "config"
+        else:
+            doc = ({"config": base_doc()} if case == "manifest-without-traces"
+                   else {"traces": []})
+            (tmp_path / "manifest.json").write_text(json.dumps(doc))
+            key = "traces" if case == "manifest-without-traces" else "config"
+            argv, name = ["fit", str(tmp_path), "--out", str(tmp_path / "fit")], "manifest.json"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err and repr(key) in err
+
     def test_majority_bin_failure_exits_nonzero(self, tmp_path, capsys):
         doc = base_doc()
         doc["synth"]["power_settings_w"] = [[0.0, 0.0]]  # flat traces

@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tlsphonon.bloch import RelaxationTimes
 from tlsphonon.constants import HBAR, KB, TWO_PI
-from tlsphonon.dissipation import gamma_rel_closed
+from tlsphonon.dissipation import (
+    critical_intensity,
+    freq_shift_res,
+    gamma_rel_closed,
+    total_linewidth,
+)
 from tlsphonon.fitting import (
     FitError,
     LorentzianFit,
@@ -23,7 +31,7 @@ from tlsphonon.fitting import SaturationFit
 from tlsphonon.numerics import digamma_half_plus_imag
 from tlsphonon.sbs import OpticalDrive
 from tlsphonon.synth import BGSTrace
-from tlsphonon.tls_core import PhononMode
+from tlsphonon.tls_core import DriveState, PhononMode, min_lifetime
 
 OMEGA = TWO_PI * 9.188e9
 CENTER = OMEGA
@@ -193,8 +201,8 @@ class TestSaturation:
             assert fit.p_gamma2 == shared.p_gamma2
 
     def test_shared_fit_starts_a_failing_bin_heuristically(self, ge_doped):
-        # the middle bin spans a factor 4 in J, so its own fit raises and the
-        # shared fit starts it from the heuristic values instead
+        # the middle bin spans a factor 4 in J, too little for a fit of its
+        # own; the shared fit still takes it in, from its heuristic start
         material, ensemble = ge_doped
         bins = []
         for t in (1.15, 1.45, 1.75):
@@ -343,3 +351,47 @@ class TestFreqShiftComparison:
         with pytest.raises(FitError, match="span"):
             compare_freq_shift(self.drifted_fits(ge_doped, [2.0, 3.0]), 1.0,
                                material, ensemble)
+
+
+class TestForwardInverseAgreement:
+    """The fits invert the forward model itself: a formula forked between
+    the two layers shows up here as a disagreement."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(0.5, 5.0), t0=st.floats(0.5, 5.0),
+           saturation=st.floats(0.0, 1e3), log_t2=st.floats(-10.0, -7.0))
+    def test_fits_and_forward_model_agree(self, ge_doped, t, t0, saturation, log_t2):
+        material, ensemble = ge_doped
+        mode = PhononMode.in_material(material, OMEGA, "L")
+        p_gamma2 = ensemble.p * ensemble.gamma_l ** 2
+        j_c = critical_intensity(material, t, ensemble=ensemble)
+        j = saturation * j_c
+
+        # the model the saturation fits invert is the forward total linewidth
+        floor = gamma_rel_closed(t, "L", material, ensemble) + ensemble.gamma_bg
+        fitted_model = saturation_rate(j, p_gamma2, j_c, floor, mode, material, t)
+        drive = DriveState(temperature=t, intensity=j, drive_omega=OMEGA)
+        total = total_linewidth(mode, drive, material, ensemble, j_c=j_c).total
+        assert fitted_model == pytest.approx(total, rel=1e-13)
+
+        # the times extraction inverts the critical intensity of those times
+        t1 = min_lifetime(HBAR * OMEGA, material, ensemble, t)
+        times = RelaxationTimes(t1=t1, t2=10.0 ** log_t2)
+        j_c_times = critical_intensity(material, t, times=times, ensemble=ensemble)
+        sat = SaturationFit(p_gamma2=p_gamma2, j_c=j_c_times, gamma0=floor,
+                            covariance=np.zeros((3, 3)), temperature=t)
+        extracted = extract_times(sat, material, ensemble, mode, t)
+        assert extracted.t1_t2 == pytest.approx(times.t1 * times.t2, rel=1e-13)
+        assert extracted.t2 == pytest.approx(times.t2, rel=1e-13)
+
+        # the predicted drift is a difference of the forward frequency pull
+        cov = np.zeros((3, 3))
+        fits = [(temp, LorentzianFit(omega_hat=OMEGA, gamma_hat=GAMMA, peak_hat=PEAK,
+                                     covariance=cov, residual_norm=0.0))
+                for temp in (0.5, t, 5.0)]
+        rows = compare_freq_shift(fits, t0, material, ensemble, p_gamma2=p_gamma2)
+        t_ref = min((0.5, t, 5.0), key=lambda temp: abs(temp - t0))
+        for row in rows:
+            pull = freq_shift_res(mode, row.temperature, 1.0, material, ensemble)
+            pull_ref = freq_shift_res(mode, t_ref, 1.0, material, ensemble)
+            assert abs(row.predicted - (pull - pull_ref)) <= 1e-12 * (abs(pull) + abs(pull_ref))
