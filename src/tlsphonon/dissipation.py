@@ -91,7 +91,7 @@ def gamma_res_weak(
             * np.tanh(HBAR * mode.omega / (2.0 * KB * temperature)))
 
 
-def jc_t1t2(material: MaterialParams, ensemble: TLSEnsemble, polarization: str = "L") -> float:
+def jc_t1t2(material: MaterialParams, ensemble: TLSEnsemble, polarization: str) -> float:
     """J_c T1 T2 = hbar^2 rho v^3 / (2 gamma^2) [W s^2/m^2]."""
     gamma = ensemble.deformation_potential(polarization)
     v = material.sound_speed(polarization)
@@ -271,10 +271,10 @@ def saturation_floor(
     temperature: float,
     material: MaterialParams,
     ensemble: TLSEnsemble,
-    polarization: str = "L",
 ) -> float:
-    """Gamma_rel + Gamma_bg [rad/s], what is left once resonant absorption saturates."""
-    return gamma_rel_closed(temperature, polarization, material, ensemble) + ensemble.gamma_bg
+    """Gamma_rel + Gamma_bg [rad/s] of the L branch: what is left once resonant
+    absorption saturates."""
+    return gamma_rel_closed(temperature, "L", material, ensemble) + ensemble.gamma_bg
 
 
 def gamma_rel_integral_oracle(

@@ -536,6 +536,8 @@ def compare_freq_shift(
     t_ref, ref = fits[ref_idx]
     if p_gamma2 is None:
         p_gamma2 = ensemble.p * ensemble.gamma_l ** 2
+    if not p_gamma2 > 0:
+        raise FitError(f"coupling product P gamma^2 must be positive, got {p_gamma2}")
 
     mode = PhononMode.in_material(material, ref.omega_hat, "L")
     shifts = freq_shift_res(mode, temps, t_ref, material, _coupling(p_gamma2))

@@ -475,7 +475,8 @@ class TestCliSynthFit:
         # to import; model, synth and report never call the first two, and
         # call the digamma of scipy.special only for a frequency shift, which
         # neither this model grid (no fit.t0_k) nor a synth without center
-        # drift evaluates
+        # drift evaluates. The default synth drifts the center, so run last
+        # it loads scipy.special and still neither of the others.
         tmp, config_path, data = workspace
         assert main(["fit", str(data), "--out", str(tmp_path / "fit")]) == 0
         doc = base_doc()
@@ -488,17 +489,18 @@ class TestCliSynthFit:
             "def loaded():\n"
             "    return [m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special')\n"
             "            if m in sys.modules]\n"
-            "seen = {'import': loaded()}\n"
+            "seen = [['import', loaded()]]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0\n"
-            "    seen[argv[0]] = loaded()\n"
+            "    seen.append([argv[0], loaded()])\n"
             "print(json.dumps(seen))\n"
         )
         commands = [
             ["model", "--config", str(config_path), "--out", str(tmp_path / "model"),
              "--grid", "T=1.1:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"],
-            ["synth", "--config", str(steady), "--out", str(tmp_path / "data")],
+            ["synth", "--config", str(steady), "--out", str(tmp_path / "steady")],
             ["report", "--out", str(tmp_path / "fit")],
+            ["synth", "--config", str(config_path), "--out", str(tmp_path / "data")],
         ]
         src = str(Path(tlsphonon.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -507,7 +509,8 @@ class TestCliSynthFit:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == {"import": [], "model": [], "synth": [], "report": []}
+        assert seen == [["import", []], ["model", []], ["synth", []], ["report", []],
+                        ["synth", ["scipy.special"]]]
 
     def test_report_requires_fit(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2

@@ -352,6 +352,13 @@ class TestFreqShiftComparison:
             compare_freq_shift(self.drifted_fits(ge_doped, [2.0, 3.0]), 1.0,
                                material, ensemble)
 
+    @pytest.mark.parametrize("p_gamma2", [0.0, -1.0, float("nan")])
+    def test_nonpositive_coupling_is_a_fit_error(self, ge_doped, p_gamma2):
+        material, ensemble = ge_doped
+        with pytest.raises(FitError, match="positive"):
+            compare_freq_shift(self.drifted_fits(ge_doped, [1.15, 2.05]), 1.15,
+                               material, ensemble, p_gamma2=p_gamma2)
+
 
 class TestForwardInverseAgreement:
     """The fits invert the forward model itself: a formula forked between
