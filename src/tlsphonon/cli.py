@@ -219,7 +219,7 @@ def cmd_report(out_dir: Path) -> str:
         raise CliError(f"no report.json in {out_dir}; run `fit` first")
     doc = json.loads(path.read_text(encoding="utf-8"))
     config = parse_config(require_key(doc, "config", path))
-    return render_report_table(doc, config)
+    return render_report_table(doc, config, path)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ or :mod:`tlsphonon.sbs`, evaluated at unit P gamma^2 or gamma_L^2 where a fit
 needs a coefficient per unit of either. Both saturation fits are one least
 squares over the points of every bin at once.
 
+The nonlinear fits, Lorentzian and saturation, share one bounded
+Levenberg-Marquardt solver, :func:`_levenberg_marquardt`, fed with analytic
+Jacobians. It stops when a step is shorter than 1e-10 (1e-10 + ||p||) in the
+fit's scaled parameters p, and raises :class:`FitError` when that takes more
+than the fit's evaluation budget. The tests check it against scipy's
+bounded ``least_squares`` on the same problems; no command imports
+``scipy.optimize``.
+
 All fitters are deterministic: fixed initialization rules, fixed iteration
 schedule, no randomized restarts. Covariances come from the Jacobian at the
 optimum scaled by the residual variance.
@@ -35,12 +43,14 @@ from .dissipation import (
     gamma_res_strong,
     gamma_res_weak,
     jc_t1t2,
+    suppression_factor,
 )
 from .sbs import lorentzian_profile
 from .synth import BGSTrace
 from .tls_core import MaterialParams, PhononMode, TLSEnsemble, min_lifetime
 
 MAX_FIT_EVALS = 500
+XTOL = 1e-10  # relative step length at which a fit has converged
 
 
 class FitError(RuntimeError):
@@ -208,39 +218,28 @@ def fit_lorentzian(trace: BGSTrace, sigma: Optional[float] = None) -> Lorentzian
     # across the wildly different scales of center, width, and peak
     scale = np.array([gamma0, gamma0, peak0])
 
-    def residuals(p):
+    def model(p):
         center = center0 + p[0] * scale[0]
         gamma = p[1] * scale[1]
         peak = p[2] * scale[2]
         r = peak * lorentzian_profile(x, center, gamma) - y
-        return r * weights if weights is not None else r
-
-    def jacobian(p):
-        center = center0 + p[0] * scale[0]
-        gamma = p[1] * scale[1]
-        peak = p[2] * scale[2]
         half = gamma / 2.0
-        d = (x - center) ** 2 + half ** 2
+        dx = x - center
+        d = dx ** 2 + half ** 2
+        d2 = d ** 2
         j = np.empty((len(x), 3))
-        j[:, 0] = peak * half ** 2 * 2.0 * (x - center) / d ** 2 * scale[0]
-        j[:, 1] = peak * half * (x - center) ** 2 / d ** 2 * scale[1]
+        j[:, 0] = peak * half ** 2 * 2.0 * dx / d2 * scale[0]
+        j[:, 1] = peak * half * dx ** 2 / d2 * scale[1]
         j[:, 2] = half ** 2 / d * scale[2]
         if weights is not None:
-            j *= weights[:, None]
-        return j
+            return r * weights, j * weights[:, None]
+        return r, j
 
-    from scipy.optimize import least_squares  # ~0.3 s to import; most commands never fit
-
-    sol = least_squares(
-        residuals, np.array([0.0, 1.0, 1.0]), jac=jacobian,
-        bounds=([-np.inf, 1e-12, 1e-12], [np.inf, np.inf, np.inf]),
-        xtol=1e-10, ftol=None, gtol=None, max_nfev=MAX_FIT_EVALS,
-    )
-    if sol.status == 0:
-        raise FitError(f"Lorentzian fit did not converge within {MAX_FIT_EVALS} evaluations")
-
-    params = np.array([center0 + sol.x[0] * scale[0], sol.x[1] * scale[1], sol.x[2] * scale[2]])
-    cov_norm = _covariance_from_jacobian(sol.jac, sol.fun)
+    p, r, jac = _levenberg_marquardt(model, np.array([0.0, 1.0, 1.0]),
+                                     np.array([-np.inf, 1e-12, 1e-12]), MAX_FIT_EVALS,
+                                     "Lorentzian")
+    params = np.array([center0 + p[0] * scale[0], p[1] * scale[1], p[2] * scale[2]])
+    cov_norm = _covariance_from_jacobian(jac, r)
     s = np.diag(scale)
     cov = s @ cov_norm @ s
     return LorentzianFit(
@@ -248,8 +247,58 @@ def fit_lorentzian(trace: BGSTrace, sigma: Optional[float] = None) -> Lorentzian
         gamma_hat=float(params[1]),
         peak_hat=float(params[2]),
         covariance=cov,
-        residual_norm=float(np.linalg.norm(sol.fun)),
+        residual_norm=float(np.linalg.norm(r)),
     )
+
+
+def _levenberg_marquardt(model, p0, lower, max_nfev: int, name: str):
+    """(p, r, J) at the minimum of ||r(p)||^2 subject to p >= ``lower``, where
+    ``model(p)`` returns the residual r and its Jacobian J.
+
+    Each step solves (J^T J + lam diag(J^T J)) dp = -J^T r, Marquardt's
+    damping, in the parameters scaled to unit Jacobian column norms. A step
+    that crosses ``lower`` or does not lower the cost is retried with 10x the
+    damping lam. A step that lowers the cost is taken, and lam is scaled by
+    max(1/10, 1 - (2 rho - 1)^3), with rho the cost reduction over the one
+    the linearized model predicted (Nielsen's rule): a fit whose residuals
+    are large next to the noise, so that the linear model overshoots, keeps
+    its damping rather than oscillating about the optimum. The fit has
+    converged when a step is shorter than 1e-10 (1e-10 + ||p||); that step
+    is not taken. Needing more than ``max_nfev`` evaluations of ``model``
+    raises :class:`FitError`.
+    """
+    p = np.asarray(p0, dtype=float)
+    identity = np.eye(len(p))
+    r, jac = model(p)
+    nfev = 1
+    cost = float(r @ r)
+    damping = 1e-3
+    while True:
+        jtj = jac.T @ jac
+        norms = np.sqrt(np.diag(jtj))
+        norms[norms == 0.0] = 1.0  # a column of zeros: its parameter stays put
+        scaled = jtj / np.outer(norms, norms)
+        grad = (jac.T @ r) / norms
+        while True:
+            y = -np.linalg.solve(scaled + damping * identity, grad)
+            step = y / norms
+            if math.sqrt(step @ step) < XTOL * (XTOL + math.sqrt(p @ p)):
+                return p, r, jac
+            trial = p + step
+            if np.any(trial < lower):
+                damping *= 10.0
+                continue
+            if nfev >= max_nfev:
+                raise FitError(f"{name} fit did not converge within {max_nfev} evaluations")
+            r_trial, jac_trial = model(trial)
+            nfev += 1
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial < cost:
+                break
+            damping *= 10.0
+        rho = (cost - cost_trial) / -(2.0 * (y @ grad) + y @ scaled @ y)
+        damping *= max(0.1, 1.0 - (2.0 * rho - 1.0) ** 3)
+        p, r, jac, cost = trial, r_trial, jac_trial, cost_trial
 
 
 def _covariance_from_jacobian(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
@@ -314,14 +363,19 @@ def _saturation_start(j, g, unit_rate: float) -> Tuple[float, float, float]:
             max(gamma0, 1e-3 * float(np.max(g) - np.min(g))))
 
 
-def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
-    """(per-bin fits, sigma of P gamma^2) of one least squares over the (J, Gamma)
-    points of all bins: a shared P gamma^2 plus a J_c and a Gamma0 per bin.
+def _saturation_problem(bins, material: MaterialParams, sigmas):
+    """``(model, scale)`` of the least squares over the (J, Gamma) points of
+    all bins: a shared P gamma^2 plus a J_c and a Gamma0 per bin, each scaled
+    by its :func:`_saturation_start` value, P gamma^2 by the median of the
+    bins'. ``model(p)`` returns the (weighted) residual of
+    :func:`saturation_rate` at ``p * scale`` and its Jacobian in ``p``.
 
-    The residual is :func:`saturation_rate` over all points at once, each
-    point carrying its bin's mode frequency, temperature and parameters, so
-    it has no loop over bins. Parameters are scaled by their
-    :func:`_saturation_start` values, P gamma^2 by the median of the bins'.
+    The rate is linear in P gamma^2, so the residual is P gamma^2 times the
+    weak rate at unit coupling, u, evaluated once per point, over
+    :func:`~tlsphonon.dissipation.suppression_factor` S = sqrt(1 + J/J_c),
+    plus Gamma0. The Jacobian columns are u/S for P gamma^2,
+    P gamma^2 u J / (2 J_c^2 S^3) for J_c and 1 for Gamma0; a bin's J_c and
+    Gamma0 columns are nonzero only on its own points.
     """
     n = len(bins)
     arrays = [np.asarray(points, dtype=float) for _, _, points in bins]
@@ -331,40 +385,50 @@ def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
     # every bin probes one acoustic branch, so one mode object holds them all
     modes = PhononMode.in_material(material, np.array([m.omega for _, m, _ in bins])[bin_of],
                                    bins[0][1].polarization)
-    # the weak resonant rate is linear in P gamma^2: evaluated per unit, it
-    # turns each bin's starting amplitude into a P gamma^2
-    starts = np.array([
-        _saturation_start(a[:, 0], a[:, 1],
-                          float(gamma_res_weak(mode, t, material, _coupling(1.0))))
-        for (t, mode, _), a in zip(bins, arrays)])
+    unit_rates = gamma_res_weak(modes, temperatures, material, _coupling(1.0))
+    # a bin's points share its mode and temperature, so its first point's
+    # unit rate turns the bin's starting amplitude into a P gamma^2
+    first = np.searchsorted(bin_of, np.arange(n))
+    starts = np.array([_saturation_start(a[:, 0], a[:, 1], float(u))
+                       for a, u in zip(arrays, unit_rates[first])])
     scale = np.concatenate([[np.median(starts[:, 0])], starts[:, 1], starts[:, 2]])
     weights = None if sigmas is None else 1.0 / np.concatenate(sigmas)
+    rows = np.arange(len(j))
+    template = np.zeros((len(j), 1 + 2 * n))
+    template[rows, 1 + n + bin_of] = 1.0
 
-    def residuals(p):
+    def model(p):
         x = p * scale
-        r = saturation_rate(j, x[0], x[1:1 + n][bin_of], x[1 + n:][bin_of],
-                            modes, material, temperatures) - g
-        return r * weights if weights is not None else r
+        j_c = x[1:1 + n][bin_of]
+        suppression = suppression_factor(j, j_c)
+        per_coupling = unit_rates / suppression
+        r = x[0] * per_coupling + x[1 + n:][bin_of] - g
+        jac = template.copy()
+        jac[:, 0] = per_coupling
+        jac[rows, 1 + bin_of] = x[0] * per_coupling * j / (2.0 * j_c ** 2 * suppression ** 2)
+        jac *= scale
+        if weights is not None:
+            return r * weights, jac * weights[:, None]
+        return r, jac
 
-    from scipy.optimize import least_squares  # ~0.3 s to import; most commands never fit
+    return model, scale
 
-    # the start is the scale itself, so every scaled parameter starts at 1
-    sol = least_squares(
-        residuals, np.ones(1 + 2 * n),
-        bounds=(np.full(1 + 2 * n, 1e-12), np.full(1 + 2 * n, np.inf)),
-        xtol=1e-10, ftol=None, gtol=None, max_nfev=max_nfev,
-    )
-    if sol.status == 0:
-        raise FitError(f"saturation fit did not converge within {max_nfev} evaluations")
 
-    cov = np.diag(scale) @ _covariance_from_jacobian(sol.jac, sol.fun) @ np.diag(scale)
-    x = sol.x * scale
+def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
+    """(per-bin fits, sigma of P gamma^2) of the least squares of
+    :func:`_saturation_problem`, every scaled parameter starting at 1."""
+    model, scale = _saturation_problem(bins, material, sigmas)
+    p, r, jac = _levenberg_marquardt(model, np.ones(len(scale)), np.full(len(scale), 1e-12),
+                                     max_nfev, "saturation")
+    cov = np.diag(scale) @ _covariance_from_jacobian(jac, r) @ np.diag(scale)
+    x = p * scale
+    n = len(bins)
     per_bin = []
-    for idx, ((temperature, _, _), pts) in enumerate(zip(bins, arrays)):
+    for idx, (temperature, _, points) in enumerate(bins):
         sel = [0, 1 + idx, 1 + n + idx]  # (p_gamma2, j_c, gamma0)
         fit = SaturationFit(*map(float, x[sel]), covariance=cov[np.ix_(sel, sel)],
                             temperature=temperature)
-        _warn_if_flat(pts[:, 0], fit.j_c, temperature)
+        _warn_if_flat(np.asarray(points, dtype=float)[:, 0], fit.j_c, temperature)
         per_bin.append(fit)
     return per_bin, float(math.sqrt(max(cov[0, 0], 0.0)))
 

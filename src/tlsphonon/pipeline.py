@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import attrgetter
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .constants import EV, TWO_PI
+from .dataset import require_key
 from .fitting import (
     FitError,
     LorentzianFit,
@@ -314,8 +316,13 @@ def _fmt_value(x) -> str:
     return str(x)
 
 
-def render_report_table(report: dict, config: RunConfig) -> str:
-    """Text table comparing fitted parameters against the configured values."""
+def render_report_table(report: dict, config: RunConfig,
+                        source: Path = Path("report.json")) -> str:
+    """Text table comparing fitted parameters against the configured values.
+
+    A first per-temperature row without a value the table shows is a
+    ValueError naming ``source``, the file ``report`` came from, and the key.
+    """
     ens = config.ensemble
     glob = report.get("global", {})
     per_t = report.get("per_temperature", [])
@@ -324,8 +331,9 @@ def render_report_table(report: dict, config: RunConfig) -> str:
     fit_jc = None
     t_low = None
     if per_t:
-        t_low = per_t[0]["temperature_k"]
-        fit_jc = per_t[0]["j_c_w_m2"]
+        t_low, fit_jc, t1_t2, t1, t2 = (
+            require_key(per_t[0], key, source)
+            for key in ("temperature_k", "j_c_w_m2", "t1_t2_s2", "t1_s", "t2_s"))
         if ens.jc_power_law is not None:
             ref_jc = ens.j_c_from_power_law(t_low)
     ref_a, ref_b = ens.jc_power_law if ens.jc_power_law is not None else (None, None)
@@ -343,9 +351,9 @@ def render_report_table(report: dict, config: RunConfig) -> str:
     ]
     if per_t:
         rows.append((f"sqrt(T1 T2)({_fmt_value(t_low)} K) [ns]",
-                     math.sqrt(per_t[0]["t1_t2_s2"]) * 1e9, None))
-        rows.append((f"T1({_fmt_value(t_low)} K) [ns]", per_t[0]["t1_s"] * 1e9, None))
-        rows.append((f"T2({_fmt_value(t_low)} K) [ns]", per_t[0]["t2_s"] * 1e9, None))
+                     math.sqrt(t1_t2) * 1e9, None))
+        rows.append((f"T1({_fmt_value(t_low)} K) [ns]", t1 * 1e9, None))
+        rows.append((f"T2({_fmt_value(t_low)} K) [ns]", t2 * 1e9, None))
 
     name_w = max(len(r[0]) for r in rows)
     lines = [

@@ -471,12 +471,15 @@ class TestCliSynthFit:
         assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
     def test_only_fit_loads_optimize_and_integrate(self, workspace, tmp_path):
-        # scipy.optimize, scipy.integrate and scipy.special take ~0.3 s each
-        # to import; model, synth and report never call the first two, and
-        # call the digamma of scipy.special only for a frequency shift, which
-        # neither this model grid (no fit.t0_k) nor a synth without center
-        # drift evaluates. The default synth drifts the center, so run last
-        # it loads scipy.special and still neither of the others.
+        # (the name predates the in-house fit solver: no command loads
+        # scipy.optimize now.) scipy.optimize, scipy.integrate and
+        # scipy.special take ~0.3 s each to import. No command calls the first
+        # two: the fits have their own solver and only the quadrature oracles
+        # integrate. The digamma of scipy.special is called only for a
+        # frequency shift, which neither this model grid (no fit.t0_k) nor a
+        # synth without center drift evaluates. The default synth drifts the
+        # center, so it loads scipy.special, and fit, run last on its
+        # dataset, loads nothing more.
         tmp, config_path, data = workspace
         assert main(["fit", str(data), "--out", str(tmp_path / "fit")]) == 0
         doc = base_doc()
@@ -501,6 +504,7 @@ class TestCliSynthFit:
             ["synth", "--config", str(steady), "--out", str(tmp_path / "steady")],
             ["report", "--out", str(tmp_path / "fit")],
             ["synth", "--config", str(config_path), "--out", str(tmp_path / "data")],
+            ["fit", str(tmp_path / "data"), "--out", str(tmp_path / "refit")],
         ]
         src = str(Path(tlsphonon.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -510,7 +514,7 @@ class TestCliSynthFit:
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == [["import", []], ["model", []], ["synth", []], ["report", []],
-                        ["synth", ["scipy.special"]]]
+                        ["synth", ["scipy.special"]], ["fit", ["scipy.special"]]]
 
     def test_report_requires_fit(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
@@ -529,12 +533,22 @@ class TestFailureContract:
         err = capsys.readouterr().err
         assert err.startswith("error: optical powers must be finite") and err.count("\n") == 1
 
+    # the values of the first per-temperature row that the report table shows
+    ROW_KEYS = ("temperature_k", "j_c_w_m2", "t1_t2_s2", "t1_s", "t2_s")
+
     @pytest.mark.parametrize("case", ["report-without-config", "manifest-without-traces",
-                                      "manifest-without-config"])
+                                      "manifest-without-config",
+                                      *(f"report-row-without-{key}" for key in ROW_KEYS)])
     def test_missing_json_key_names_file_and_key(self, tmp_path, capsys, case):
         if case == "report-without-config":
             (tmp_path / "report.json").write_text(json.dumps({"per_temperature": []}))
             argv, name, key = ["report", "--out", str(tmp_path)], "report.json", "config"
+        elif case.startswith("report-row-without-"):
+            key = case.removeprefix("report-row-without-")
+            row = {k: 1e-8 for k in self.ROW_KEYS if k != key}
+            (tmp_path / "report.json").write_text(json.dumps(
+                {"config": base_doc(), "per_temperature": [row]}))
+            argv, name = ["report", "--out", str(tmp_path)], "report.json"
         else:
             doc = ({"config": base_doc()} if case == "manifest-without-traces"
                    else {"traces": []})

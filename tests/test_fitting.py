@@ -27,9 +27,15 @@ from tlsphonon.fitting import (
     fit_saturation_shared,
     saturation_rate,
 )
-from tlsphonon.fitting import SaturationFit
+from tlsphonon import fitting
+from tlsphonon.fitting import (
+    SaturationFit,
+    _half_max_width,
+    _saturation_problem,
+    _solve_saturation,
+)
 from tlsphonon.numerics import digamma_half_plus_imag
-from tlsphonon.sbs import OpticalDrive
+from tlsphonon.sbs import OpticalDrive, lorentzian_profile
 from tlsphonon.synth import BGSTrace
 from tlsphonon.tls_core import DriveState, PhononMode, min_lifetime
 
@@ -402,3 +408,201 @@ class TestForwardInverseAgreement:
             pull = freq_shift_res(mode, row.temperature, 1.0, material, ensemble)
             pull_ref = freq_shift_res(mode, t_ref, 1.0, material, ensemble)
             assert abs(row.predicted - (pull - pull_ref)) <= 1e-12 * (abs(pull) + abs(pull_ref))
+
+
+# ---------------------------------------------------------------------------
+# the solver against scipy's bounded least_squares, the oracle
+# ---------------------------------------------------------------------------
+
+def scipy_lorentzian(trace, sigma):
+    """(params, covariance, residual_norm) of scipy's bounded least_squares on
+    fit_lorentzian's problem: its start, scaling, bounds and xtol."""
+    from scipy.optimize import least_squares
+
+    x, y = trace.detuning_grid, trace.gain
+    i_peak = int(np.argmax(y))
+    center0, peak0 = x[i_peak], y[i_peak]
+    width0 = _half_max_width(x, y, i_peak)
+    scale = np.array([width0, width0, peak0])
+    w = np.ones_like(y) if sigma is None else 1.0 / np.broadcast_to(sigma, y.shape)
+
+    def unpack(p):
+        return center0 + p[0] * scale[0], p[1] * scale[1] / 2.0, p[2] * scale[2]
+
+    def residuals(p):
+        center, half, peak = unpack(p)
+        return (peak * half ** 2 / ((x - center) ** 2 + half ** 2) - y) * w
+
+    def jacobian(p):
+        center, half, peak = unpack(p)
+        d = (x - center) ** 2 + half ** 2
+        return np.column_stack([
+            2.0 * peak * half ** 2 * (x - center) / d ** 2 * scale[0],
+            peak * half * (x - center) ** 2 / d ** 2 * scale[1],
+            half ** 2 / d * scale[2]]) * w[:, None]
+
+    sol = least_squares(residuals, np.array([0.0, 1.0, 1.0]), jac=jacobian,
+                        bounds=([-np.inf, 1e-12, 1e-12], np.inf),
+                        xtol=1e-10, ftol=None, gtol=None, max_nfev=500)
+    assert sol.status > 0
+    params = np.array([center0 + sol.x[0] * scale[0], sol.x[1] * scale[1],
+                       sol.x[2] * scale[2]])
+    cov_norm = sol.fun @ sol.fun / (len(x) - 3) * np.linalg.inv(sol.jac.T @ sol.jac)
+    return params, scale[:, None] * cov_norm * scale, float(np.linalg.norm(sol.fun))
+
+
+def saturation_bins(ge_doped, temperatures, n=12, noise=0.01, seed=0):
+    """Noisy saturation points per temperature, each bin at its own frequency."""
+    material, ensemble = ge_doped
+    rng = np.random.default_rng(seed)
+    bins, truth = [], []
+    for k, t in enumerate(temperatures):
+        mode = PhononMode.in_material(material, OMEGA * (1.0 + 1e-4 * k), "L")
+        j_c = 0.9 * t ** 2.6
+        gamma0 = gamma_rel_closed(t, "L", material, ensemble) + TWO_PI * 650e3
+        j = np.geomspace(1e-2 * j_c, 1e2 * j_c, n)
+        g = saturation_rate(j, 1.6e7, j_c, gamma0, mode, material, t)
+        bins.append((t, mode, list(zip(j, g * (1.0 + rng.normal(0.0, noise, n))))))
+        truth.append((j_c, gamma0))
+    return bins, truth
+
+
+def saturation_oracle_residual(bins, material, sigmas, scale):
+    """The residual of saturation_rate over all bins' points, in scaled parameters."""
+    n = len(bins)
+    bin_of = np.repeat(np.arange(n), [len(points) for _, _, points in bins])
+    j, g = np.concatenate([np.asarray(points) for _, _, points in bins]).T
+    temps = np.array([t for t, _, _ in bins])[bin_of]
+    modes = PhononMode.in_material(material, np.array([m.omega for _, m, _ in bins])[bin_of], "L")
+    w = 1.0 if sigmas is None else 1.0 / np.concatenate(sigmas)
+
+    def residuals(p):
+        x = p * scale
+        return (saturation_rate(j, x[0], x[1:1 + n][bin_of], x[1 + n:][bin_of],
+                                modes, material, temps) - g) * w
+
+    return residuals
+
+
+def bin_sigmas(bins, seed=1):
+    rng = np.random.default_rng(seed)
+    return [list(0.01 * np.array([g for _, g in points]) * rng.uniform(0.5, 2.0, len(points)))
+            for _, _, points in bins]
+
+
+class TestSolverOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(offset=st.floats(-0.9, 0.9), log_width=st.floats(-1.3, -0.3),
+           points=st.integers(41, 401), log_peak=st.floats(-10.0, -3.0),
+           log_noise=st.floats(-3.0, -1.3), weighting=st.sampled_from(["none", "scalar", "points"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_lorentzian_matches_least_squares(self, ge_doped, offset, log_width, points,
+                                              log_peak, log_noise, weighting, seed):
+        # the window spans +-2 FWHM of the widest line and +-20 FWHM of
+        # the narrowest, whose center sits up to 0.9 of the way to an edge:
+        # the wide lines are truncated to well under their full profile
+        half_span = 10.0 * GAMMA
+        grid = np.linspace(CENTER - half_span, CENTER + half_span, points)
+        gamma = max(half_span * 10.0 ** log_width,
+                    5.0 * (grid[1] - grid[0]))  # >= 5 samples per FWHM
+        peak = 10.0 ** log_peak
+        noise = peak * 10.0 ** log_noise
+        gain = peak * lorentzian_profile(grid, CENTER + offset * half_span, gamma)
+        gain = gain + np.random.default_rng(seed).normal(0.0, noise, points)
+        base = make_trace(ge_doped)
+        trace = BGSTrace(temperature=base.temperature, detuning_grid=grid, gain=gain,
+                         drive=base.drive, seed=seed, timestamp_index=0)
+        rng = np.random.default_rng(seed + 1)
+        sigma = {"none": None, "scalar": noise,
+                 "points": noise * rng.uniform(0.5, 2.0, points)}[weighting]
+
+        fit = fit_lorentzian(trace, sigma=sigma)
+        params, cov, residual_norm = scipy_lorentzian(trace, sigma)
+        assert abs(fit.omega_hat - params[0]) <= 1e-8 * params[1]
+        assert fit.gamma_hat == pytest.approx(params[1], rel=1e-8)
+        assert fit.peak_hat == pytest.approx(params[2], rel=1e-8)
+        bound = 1e-6 * np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        assert np.all(np.abs(fit.covariance - cov) <= bound)
+        assert fit.residual_norm == pytest.approx(residual_norm, rel=1e-6)
+
+    @pytest.mark.parametrize("points, gain, text", [
+        (6, None, "need at least 7 samples, got 6"),
+        (401, 1e-9, "no discernible peak: max is within 3 median absolute deviations "
+                    "of the baseline (flat trace)"),
+    ])
+    def test_lorentzian_rejections_keep_their_text(self, ge_doped, points, gain, text):
+        trace = make_trace(ge_doped, points=points)
+        if gain is not None:
+            trace = BGSTrace(temperature=1.1, detuning_grid=trace.detuning_grid,
+                             gain=np.full_like(trace.gain, gain), drive=trace.drive,
+                             seed=0, timestamp_index=0)
+        with pytest.raises(FitError) as exc:
+            fit_lorentzian(trace)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_saturation_jacobian_matches_central_differences(self, ge_doped, weighted):
+        material, _ = ge_doped
+        bins, _ = saturation_bins(ge_doped, (1.15, 1.6, 2.4, 3.3))
+        sigmas = bin_sigmas(bins) if weighted else None
+        model, scale = _saturation_problem(bins, material, sigmas)
+        residuals = saturation_oracle_residual(bins, material, sigmas, scale)
+        p = 1.0 + 0.3 * np.sin(np.arange(len(scale)) + 1.0)  # away from the start
+        r, jac = model(p)
+        assert np.allclose(r, residuals(p), rtol=1e-12, atol=1e-12 * np.abs(r).max())
+        h = 1e-6
+        numeric = np.column_stack([
+            (residuals(p + h * e) - residuals(p - h * e)) / (2.0 * h)
+            for e in np.eye(len(p))])
+        assert np.abs(jac - numeric).max() <= 1e-7 * np.abs(jac).max()
+        # a bin's J_c and Gamma0 columns vanish off its own points
+        n = len(bins)
+        rows = np.repeat(np.arange(n), [len(points) for _, _, points in bins])
+        for idx in range(n):
+            assert not jac[rows != idx][:, [1 + idx, 1 + n + idx]].any()
+
+    @pytest.mark.parametrize("temperatures, weighted, noise, seed", [
+        ((1.3,), False, 0.01, 1), ((1.3,), True, 0.01, 1),
+        ((1.15, 1.45, 1.75, 2.9), False, 0.01, 4), ((1.15, 1.45, 1.75, 2.9), True, 0.01, 4),
+        # 5% noise against 1% sigmas: residuals large enough that the
+        # linearized model overshoots, which stalls a damping rule that
+        # drops by 10x after every accepted step
+        ((1.15, 1.45, 1.75, 2.9), True, 0.05, 29),
+    ])
+    def test_saturation_fits_match_least_squares(self, ge_doped, temperatures, weighted,
+                                                 noise, seed):
+        from scipy.optimize import least_squares
+
+        material, _ = ge_doped
+        bins, _ = saturation_bins(ge_doped, temperatures, noise=noise, seed=seed)
+        sigmas = bin_sigmas(bins, seed) if weighted else None
+        _, scale = _saturation_problem(bins, material, sigmas)
+        sol = least_squares(saturation_oracle_residual(bins, material, sigmas, scale),
+                            np.ones(len(scale)), bounds=(1e-12, np.inf),
+                            xtol=1e-10, ftol=None, gtol=None, max_nfev=10_000)
+        assert sol.status > 0
+        expected = sol.x * scale
+        n = len(bins)
+        if n == 1:
+            fits = [fit_saturation(bins[0][2], bins[0][1], material, bins[0][0],
+                                   sigmas=None if sigmas is None else sigmas[0])]
+        else:
+            fits = fit_saturation_shared(bins, material, sigmas=sigmas).per_bin
+        for idx, fit in enumerate(fits):
+            got = [fit.p_gamma2, fit.j_c, fit.gamma0]
+            want = expected[[0, 1 + idx, 1 + n + idx]]
+            assert got == pytest.approx(want, rel=1e-7)
+
+    def test_nonconvergence_texts(self, ge_doped, monkeypatch):
+        material, _ = ge_doped
+        bins, _ = saturation_bins(ge_doped, (1.15, 1.45, 1.75))
+        with pytest.raises(FitError) as exc:
+            _solve_saturation(bins, material, None, 3)
+        assert str(exc.value) == "saturation fit did not converge within 3 evaluations"
+        monkeypatch.setattr(fitting, "MAX_FIT_EVALS", 2)
+        with pytest.raises(FitError) as exc:
+            fit_saturation(bins[0][2], bins[0][1], material, bins[0][0])
+        assert str(exc.value) == "saturation fit did not converge within 2 evaluations"
+        with pytest.raises(FitError) as exc:
+            fit_lorentzian(make_trace(ge_doped, noise=PEAK / 100.0, seed=6))
+        assert str(exc.value) == "Lorentzian fit did not converge within 2 evaluations"
