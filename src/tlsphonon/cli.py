@@ -22,10 +22,9 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, parse_config
 from .constants import TWO_PI
-from .dataset import (format_rows, load_dataset, read_manifest, require_key, write_manifest,
-                      write_spectrum, write_trace)
-from .dissipation import (critical_intensity, decay_length, q_factor, saturation_floor,
-                          total_linewidth)
+from .dataset import (format_rows, load_dataset, read_manifest, require_key, write_json,
+                      write_manifest, write_spectrum, write_trace)
+from .dissipation import decay_length, q_factor, saturation_floor, total_linewidth
 from .pipeline import TABLE_COLUMNS, render_report_table, run_fit_pipeline
 from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
 from .synth import plan_acquisitions, run_acquisition
@@ -36,23 +35,10 @@ class CliError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):  # includes numpy scalars, which repr differently
-        return repr(float(x))
-    return str(x)
-
-
-def _csv_head(header, config: RunConfig) -> str:
+def _csv_head(header, config: RunConfig) -> bytes:
     # the stamp keeps every emitted number traceable to its run
-    return f"# tlsphonon {__version__} config_sha256 {config.sha256}\n{','.join(header)}\n"
-
-
-def _write_csv(path: Path, header, rows, config: RunConfig) -> None:
-    """Write a small table of mixed ints, strings and floats (floats via ``repr``)."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(_csv_head(header, config))
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    stamp = f"# tlsphonon {__version__} config_sha256 {config.sha256}\n"
+    return (stamp + ",".join(header) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +105,12 @@ def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
     dims = parse_grid(grid_spec)
     t_ref = config.fit_section().get("t0_k")
     t, j = np.meshgrid(dims["T"], dims["J"], indexing="ij")
-    if config.j_c_explicit is not None:
-        j_c = config.j_c_explicit
-    else:
-        j_c = critical_intensity(config.material, t, times=config.times,
-                                 ensemble=config.ensemble)
+    j_c = config.forward_model().j_c(t)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "model.csv"
     with out.open("wb") as fh:
-        fh.write(_csv_head(MODEL_COLUMNS, config).encode())
+        fh.write(_csv_head(MODEL_COLUMNS, config))
         # frequency-major, then T, then J: the order of the grid spec
         for f_hz in dims["f"]:
             mode = PhononMode.in_material(config.material, TWO_PI * float(f_hz), "L")
@@ -185,10 +167,7 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
     report = result.report
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps({**report, "config": config.raw}, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_dir / "report.json", {**report, "config": config.raw})
 
     binned_dir = out_dir / "binned"
     binned_dir.mkdir(exist_ok=True)
@@ -197,8 +176,9 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
                        unit.trace.detuning_grid / TWO_PI, unit.trace.gain)
 
     for table, columns in TABLE_COLUMNS.items():
-        _write_csv(out_dir / f"{table}.csv", columns,
-                   ([row[c] for c in columns] for row in report[table]), config)
+        rows = [[row[c] for c in columns] for row in report[table]]
+        (out_dir / f"{table}.csv").write_bytes(
+            _csv_head(columns, config) + format_rows(rows))
 
     (out_dir / "report.txt").write_text(
         render_report_table(report, config) + "\n", encoding="utf-8"

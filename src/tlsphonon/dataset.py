@@ -3,12 +3,15 @@
 One CSV per trace with header ``detuning_hz,gain_w`` plus a JSON sidecar
 repeating the trace's acquisition metadata, and a manifest listing every
 trace with that metadata, the config hash and the library version. Only
-the CSV and the manifest are read back. Floats are written by
-:func:`format_rows` in their shortest round-trip form, so re-running an
-identical config produces byte-identical files. Synthetic and externally
-measured data share the format; a manifest entry's ``peak_intensity_w_m2``
-is optional for the latter and recomputed from the fitted linewidth when
+the CSV and the manifest are read back. Synthetic and externally measured
+data share the format; a manifest entry's ``peak_intensity_w_m2`` is
+optional for the latter and recomputed from the fitted linewidth when
 absent.
+
+Every number the program writes to a CSV, here and in ``fit``'s and
+``model``'s tables, goes through :func:`format_rows` in its shortest
+round-trip form, and every JSON file through :func:`write_json`, so
+re-running an identical config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,32 +42,44 @@ def trace_filename(index: int) -> str:
     return f"trace_{index:05d}.csv"
 
 
-def _token(value: float) -> bytes:
+def _token(value) -> bytes:
     # repr spells NaN and +-inf as Python's float() reads them; JSON has no such numbers
-    return orjson.dumps(value) if math.isfinite(value) else repr(value).encode()
+    if math.isfinite(value):
+        return orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY)
+    return repr(float(value)).encode()
 
 
-def format_rows(matrix: np.ndarray) -> bytes:
-    """CSV rows of a 2-D float matrix, each value in its shortest round-trip form.
+def format_rows(rows) -> bytes:
+    """CSV rows of a 2-D float matrix, or of a list of rows of Python (or
+    numpy scalar) ints and floats, each value in its shortest round-trip form.
 
     The digits are those of ``repr``, written by orjson's C serializer;
     exponents are unpadded (``1e-7``, ``1e16``) and values in [1e-5, 1e-4)
-    are positional (``0.00003``). NaN and +-inf are written ``nan``, ``inf``
-    and ``-inf``, never JSON's ``null``.
+    are positional (``0.00003``). Ints in a list stay ints (``3``). NaN and
+    +-inf are written ``nan``, ``inf`` and ``-inf``, never JSON's ``null``.
     """
-    block = np.ascontiguousarray(matrix, dtype=np.float64)
-    if block.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {block.shape}")
+    if isinstance(rows, np.ndarray):
+        block = np.ascontiguousarray(rows, dtype=np.float64)
+        if block.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {block.shape}")
+        finite = np.isfinite(block).all(axis=1)
+    else:
+        block = [list(row) for row in rows]
+        finite = np.array([all(map(math.isfinite, row)) for row in block], dtype=bool)
     if not len(block):
         return b""
     text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]  # [[a,b],[c,d]]
-    finite = np.isfinite(block).all(axis=1)
     if finite.all():
         return text.replace(b"],[", b"\n") + b"\n"
     lines = text.split(b"],[")
     for i in np.flatnonzero(~finite):
-        lines[i] = b",".join(map(_token, block[i].tolist()))
+        lines[i] = b",".join(map(_token, block[i]))
     return b"\n".join(lines) + b"\n"
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as key-sorted JSON indented by one space, newline-terminated."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def write_spectrum(path: Path, detuning_hz: np.ndarray, gain: np.ndarray) -> None:
@@ -90,9 +105,7 @@ def write_trace(directory: Path, trace: BGSTrace) -> dict:
         "setting_index": int(trace.setting_index),
         "peak_intensity_w_m2": float(trace.peak_intensity),
     }
-    (directory / (name[:-4] + ".json")).write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(directory / (name[:-4] + ".json"), sidecar)
     entry = {"file": name}
     entry.update(sidecar)
     return entry
@@ -171,9 +184,7 @@ def write_manifest(directory: Path, entries: List[dict], config_doc: dict,
         "config": config_doc,
         "traces": entries,
     }
-    (Path(directory) / "manifest.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(Path(directory) / "manifest.json", doc)
 
 
 def require_key(doc, key: str, path: Path):

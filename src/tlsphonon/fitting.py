@@ -181,27 +181,32 @@ def _half_max_width(x, y, i_peak):
     return width
 
 
-def fit_lorentzian(trace: BGSTrace, sigma: Optional[float] = None) -> LorentzianFit:
-    """Least-squares Lorentzian fit of one (averaged) gain spectrum.
+def fit_lorentzian(trace: BGSTrace) -> LorentzianFit:
+    """Unweighted least-squares Lorentzian fit of one (averaged) gain spectrum.
 
     Initialization: center at the maximum sample, peak at its value, width
     from the half-maximum crossings. Converges when the relative step norm
     drops below 1e-10; more than 500 model evaluations raises
-    :class:`FitError`, as does data with no discernible peak (maximum less
-    than 3 median absolute deviations above the window baseline).
-
-    ``sigma`` (scalar or per-point) enables inverse-variance weighting.
+    :class:`FitError`, as does data with no discernible peak: a maximum less
+    than 3 noise scales above the window minimum, the noise scale being the
+    median absolute deviation of successive differences over sqrt(2). The
+    residual norm is in the units of the gain [W]. A bin's samples share one
+    noise level, so weighting them would change neither the fit nor its
+    covariance.
     """
     x = np.asarray(trace.detuning_grid, dtype=float)
     y = np.asarray(trace.gain, dtype=float)
     if len(x) < 7:
         raise FitError(f"need at least 7 samples, got {len(x)}")
     # baseline = window minimum: a heavily truncated window has no flat
-    # wings, so the median would sit halfway up the line itself
+    # wings, so the median would sit halfway up the line itself; the noise
+    # comes from successive differences, which the line's own spread over a
+    # window that holds mostly line does not inflate
     baseline = float(np.min(y))
-    mad = float(np.median(np.abs(y - np.median(y))))
+    steps = np.diff(y)
+    noise = float(np.median(np.abs(steps - np.median(steps)))) / math.sqrt(2.0)
     i_peak = int(np.argmax(y))
-    if not (y[i_peak] - baseline > 3.0 * mad):
+    if not (y[i_peak] - baseline > 3.0 * noise):
         raise FitError(
             "no discernible peak: max is within 3 median absolute deviations "
             "of the baseline (flat trace)"
@@ -210,9 +215,6 @@ def fit_lorentzian(trace: BGSTrace, sigma: Optional[float] = None) -> Lorentzian
     center0 = x[i_peak]
     peak0 = y[i_peak]
     gamma0 = _half_max_width(x, y, i_peak)
-    weights = None
-    if sigma is not None:
-        weights = 1.0 / np.broadcast_to(np.asarray(sigma, dtype=float), y.shape)
 
     # normalized parameters keep the step-norm stopping rule meaningful
     # across the wildly different scales of center, width, and peak
@@ -231,8 +233,6 @@ def fit_lorentzian(trace: BGSTrace, sigma: Optional[float] = None) -> Lorentzian
         j[:, 0] = peak * half ** 2 * 2.0 * dx / d2 * scale[0]
         j[:, 1] = peak * half * dx ** 2 / d2 * scale[1]
         j[:, 2] = half ** 2 / d * scale[2]
-        if weights is not None:
-            return r * weights, j * weights[:, None]
         return r, j
 
     p, r, jac = _levenberg_marquardt(model, np.array([0.0, 1.0, 1.0]),
@@ -502,9 +502,8 @@ def fit_powerlaw(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
     lj = np.log(pts[:, 1])
     design = np.column_stack([np.ones_like(lt), lt])
     coef, *_ = np.linalg.lstsq(design, lj, rcond=None)
-    resid = lj - design @ coef
-    dof = max(len(pts) - 2, 1)
-    cov_log = float(resid @ resid) / dof * np.linalg.inv(design.T @ design)
+    # a linear fit's Jacobian is its design matrix
+    cov_log = _covariance_from_jacobian(design, lj - design @ coef)
     a = math.exp(coef[0])
     jac = np.diag([a, 1.0])  # (ln a, b) -> (a, b)
     return PowerLawFit(a=a, b=float(coef[1]), covariance=jac @ cov_log @ jac.T)
@@ -529,9 +528,7 @@ def fit_gamma0_decomposition(
     g0 = pts[:, 1]
     design = np.column_stack([t3, np.ones_like(t3)])
     coef, *_ = np.linalg.lstsq(design, g0, rcond=None)
-    resid = g0 - design @ coef
-    dof = max(len(pts) - 2, 1)
-    cov = float(resid @ resid) / dof * np.linalg.inv(design.T @ design)
+    cov = _covariance_from_jacobian(design, g0 - design @ coef)
     coeff_t3, gamma_bg = float(coef[0]), float(coef[1])
     if coeff_t3 <= 0.0:
         raise FitError("offset decomposition found a nonpositive cubic term; "

@@ -108,15 +108,13 @@ def _bin_stage(traces: List[BGSTrace], bin_width: float) -> List[FitUnit]:
             for center, averaged, n_traces in bin_traces(list(group), bin_width)]
 
 
-def _lorentz_stage(units: List[FitUnit], config: RunConfig, noise_sigma: float,
+def _lorentz_stage(units: List[FitUnit], config: RunConfig,
                    errors: List[str]) -> List[FitUnit]:
-    """The units whose spectrum fits a Lorentzian, failures to ``errors``; a
-    positive ``noise_sigma`` [W per trace] weights by the bin average's noise."""
+    """The units whose spectrum fits a Lorentzian, failures to ``errors``."""
     fitted = []
     for unit in units:
-        sigma = noise_sigma / math.sqrt(unit.n_traces) if noise_sigma > 0.0 else None
         try:
-            fit = fit_lorentzian(unit.trace, sigma=sigma)
+            fit = fit_lorentzian(unit.trace)
         except FitError as exc:
             errors.append(f"bin {unit.center:.3f} K setting {unit.setting}: {exc}")
             continue
@@ -268,15 +266,15 @@ def run_fit_pipeline(
     load_errors: Optional[List[str]] = None,
 ) -> PipelineResult:
     """Fit ``traces`` stage by stage: bin, Lorentzian, saturation, power law
-    and decomposition, times, frequency drift, global block."""
+    and decomposition, times, frequency drift, global block. ``fit.weighted``
+    weights each saturation point by its Lorentzian linewidth sigma."""
     fit_cfg = config.fit_section()
     weighted = bool(fit_cfg.get("weighted", False))
     errors: List[str] = list(load_errors or [])
     notes: List[str] = []
 
     units = _bin_stage(traces, float(fit_cfg.get("bin_width_k", DEFAULT_BIN_WIDTH_K)))
-    noise_sigma = float(config.synth_section().get("noise_sigma_w", 0.0)) if weighted else 0.0
-    fitted = _lorentz_stage(units, config, noise_sigma, errors)
+    fitted = _lorentz_stage(units, config, errors)
     report = {
         "version": __version__,
         "config_sha256": config.sha256,

@@ -26,7 +26,6 @@ import numpy as np
 from .bloch import RelaxationTimes
 from .constants import C_LIGHT, TWO_PI
 from .dissipation import (
-    LinewidthBreakdown,
     critical_intensity,
     freq_shift_res,
     gamma_res_weak,
@@ -55,12 +54,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ForwardModel:
-    """Everything the synthesizer needs to evaluate the physics.
+    """Everything the synthesizer and ``model`` need to evaluate the physics.
 
-    Exactly one critical-intensity source applies: explicit relaxation
-    ``times``, an explicit ``j_c``, or the ensemble's power law (checked in
-    that order). ``drift_reference_k`` turns on the resonant frequency drift
-    of the line center relative to that temperature.
+    :meth:`j_c` picks the critical-intensity source in the order
+    :func:`~tlsphonon.dissipation.total_linewidth` documents: an explicit
+    ``j_c_explicit``, else :func:`~tlsphonon.dissipation.critical_intensity`
+    from relaxation ``times`` or the ensemble's power law.
+    ``drift_reference_k`` turns on the resonant frequency drift of the line
+    center relative to that temperature.
     """
 
     material: MaterialParams
@@ -83,13 +84,13 @@ class ForwardModel:
     def pump_omega(self) -> float:
         return TWO_PI * C_LIGHT / self.pump_wavelength
 
-    def j_c(self, temperature: float, polarization: str = "L") -> float:
-        if self.times is not None:
-            return critical_intensity(self.material, temperature, times=self.times,
-                                      ensemble=self.ensemble, polarization=polarization)
+    def j_c(self, temperature):
+        """Critical intensity [W/m^2] of the longitudinal mode at ``temperature``
+        (a scalar or an array)."""
         if self.j_c_explicit is not None:
             return self.j_c_explicit
-        return self.ensemble.j_c_from_power_law(temperature)
+        return critical_intensity(self.material, temperature, times=self.times,
+                                  ensemble=self.ensemble)
 
     def line_center(self, temperature: float) -> float:
         """Acoustic resonance frequency at this temperature [rad/s]."""
@@ -182,7 +183,6 @@ class OperatingPoint:
 
     gamma_total: float
     peak_intensity: float
-    breakdown: LinewidthBreakdown
     iterations: int
     residual: float
 
@@ -210,7 +210,7 @@ def solve_self_consistent(
     mode = PhononMode.in_material(material, center, "L")
     gamma_weak = gamma_res_weak(mode, temperature, material, ensemble)
     floor = saturation_floor(temperature, material, ensemble)
-    j_c = model.j_c(temperature, "L")
+    j_c = model.j_c(temperature)
 
     # J_peak(Gamma) = coupling / Gamma^2, so coupling is J_peak at unit linewidth
     coupling = peak_phonon_intensity(drive, center, 1.0, material)
@@ -228,18 +228,9 @@ def solve_self_consistent(
             f"(Gamma, J) fixed point not converged after {max_iter} iterations "
             f"(last relative step {residual:.3e}); parameters are likely unphysical"
         )
-    j_peak = coupling / gamma ** 2
-    res = gamma - floor
-    breakdown = LinewidthBreakdown(
-        gamma_res=res,
-        gamma_rel=floor - ensemble.gamma_bg,
-        gamma_bg=ensemble.gamma_bg,
-        total=gamma,
-    )
     return OperatingPoint(
         gamma_total=gamma,
-        peak_intensity=j_peak,
-        breakdown=breakdown,
+        peak_intensity=coupling / gamma ** 2,
         iterations=iteration,
         residual=residual,
     )

@@ -1,5 +1,6 @@
 """Config validation, dataset round trips, CLI subcommands, determinism."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -25,7 +26,7 @@ from tlsphonon.config import (
 from tlsphonon.constants import TWO_PI
 from tlsphonon.dataset import format_rows, read_manifest, read_trace, write_spectrum, write_trace
 from tlsphonon.dissipation import critical_intensity, decay_length, q_factor, total_linewidth
-from tlsphonon.pipeline import run_fit_pipeline
+from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import synth_sweep
 from tlsphonon.tls_core import DriveState, PhononMode
 
@@ -183,6 +184,9 @@ class TestRowCodec:
     def test_non_finite_tokens(self):
         rows = format_rows(np.array([[np.nan, 1e-7], [np.inf, -np.inf], [2.5, -0.0]]))
         assert rows == b"nan,1e-7\ninf,-inf\n2.5,-0.0\n"
+        # rows of Python and numpy scalars take the same tokens and keep their ints
+        rows = format_rows([[3, 1e-5, np.float64(2.5)], [0, np.nan, -np.inf]])
+        assert rows == b"3,0.00001,2.5\n0,nan,-inf\n"
 
     def test_empty_spectrum_is_header_only(self, tmp_path):
         write_spectrum(tmp_path / "empty.csv", np.array([]), np.array([]))
@@ -403,6 +407,29 @@ class TestCliSynthFit:
         # report subcommand renders every comparison row
         assert main(["report", "--out", str(out)]) == 0
 
+    def test_report_tables_read_back_bit_for_bit(self, workspace, tmp_path):
+        # the tables share format_rows' layout with every other CSV, so each
+        # cell reads back as its report.json value and the counts stay ints
+        tmp, config_path, data = workspace
+        out = tmp_path / "fit"
+        assert main(["fit", str(data), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for table, columns in TABLE_COLUMNS.items():
+            assert report[table]
+            lines = (out / f"{table}.csv").read_bytes().splitlines(keepends=True)
+            assert lines[0].startswith(b"# tlsphonon ")
+            assert lines[1].decode().strip().split(",") == list(columns)
+            rows = [[row[c] for c in columns] for row in report[table]]
+            assert b"".join(lines[2:]) == format_rows(rows)
+            for line, row in zip(lines[2:], rows):
+                for cell, value in zip(line.decode().strip().split(","), row):
+                    if isinstance(value, int):
+                        assert cell == str(value)
+                    else:
+                        assert bits(float(cell)) == bits(value)
+        ints = {c for c, v in report["per_bin"][0].items() if isinstance(v, int)}
+        assert ints == {"setting_index", "n_traces"}
+
     def test_fit_rerun_identical(self, workspace, tmp_path):
         tmp, config_path, data = workspace
         out1, out2 = tmp_path / "f1", tmp_path / "f2"
@@ -591,6 +618,22 @@ class TestPipelineOptions:
         traces = synth_sweep(config.sweep_plan())
         result = run_fit_pipeline(traces, config)
         assert result.report["per_temperature"]
+
+    def test_weighted_fit_ignores_the_synth_noise_level(self):
+        # weighting uses the Lorentzian linewidth sigmas only, so the synth
+        # section's noise level moves no reported number
+        doc = base_doc()
+        doc["synth"]["noise_sigma_w"] = 2e-10
+        doc["fit"]["weighted"] = True
+        traces = synth_sweep(parse_config(doc).sweep_plan())
+        reports = []
+        for noise in (2e-10, 3e-8):
+            doc = copy.deepcopy(doc)
+            doc["synth"]["noise_sigma_w"] = noise
+            report = run_fit_pipeline(traces, parse_config(doc)).report
+            reports.append({k: v for k, v in report.items() if k != "config_sha256"})
+        assert reports[0]["per_temperature"]
+        assert reports[0] == reports[1]
 
     def test_external_data_intensity_fallback(self, tmp_path):
         # wiping the stored intensities forces the optical-power relation

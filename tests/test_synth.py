@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tlsphonon.dissipation import gamma_rel_closed, gamma_res_weak
+from tlsphonon.bloch import RelaxationTimes
+from tlsphonon.constants import TWO_PI
+from tlsphonon.dissipation import gamma_rel_closed, gamma_res_weak, total_linewidth
 from tlsphonon.sbs import OpticalDrive, stokes_gain, g_b_at_linewidth
 from tlsphonon.synth import (
     BGSTrace,
@@ -18,7 +20,7 @@ from tlsphonon.synth import (
     synth_sweep,
     synth_trace,
 )
-from tlsphonon.tls_core import PhononMode
+from tlsphonon.tls_core import DriveState, PhononMode
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,18 @@ def model(ge_doped):
     material, ensemble = ge_doped
     return ForwardModel(material=material, ensemble=ensemble,
                         drift_reference_k=1.1)
+
+
+def test_explicit_j_c_takes_precedence_over_times(ge_doped):
+    # one order everywhere: an explicit J_c wins, as in total_linewidth
+    material, ensemble = ge_doped
+    times = RelaxationTimes(t1=1e-7, t2=1e-9)
+    model = ForwardModel(material=material, ensemble=ensemble, times=times, j_c_explicit=4.0)
+    assert model.j_c(1.1) == 4.0
+    mode = PhononMode.in_material(material, TWO_PI * 9.188e9, "L")
+    drive = DriveState(temperature=1.1, intensity=3.0, drive_omega=mode.omega)
+    assert (total_linewidth(mode, drive, material, ensemble, j_c=model.j_c(1.1))
+            == total_linewidth(mode, drive, material, ensemble, times=times, j_c=4.0))
 
 
 def drive_for(model, t, pump=0.035, stokes=0.55e-3):
