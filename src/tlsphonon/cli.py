@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             print(cmd_report(args.out))
             return 0
-    except (CliError, ValueError, FileNotFoundError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -25,7 +25,6 @@ import numpy as np
 from .bloch import RelaxationTimes
 from .constants import HBAR, KB
 from .numerics import (
-    QuadratureError,
     coth,
     digamma_half_plus_imag,
     quad2d_adaptive,
@@ -181,11 +180,7 @@ def gamma_res_integral_oracle(
     broadening = float(suppression_factor(intensity, j_c))
 
     if e_max is None:
-        e_max = max(
-            40.0 * KB * temperature,
-            HBAR * omega + 20.0 * HBAR / t2,
-            HBAR * omega + 20.0 * HBAR * broadening / t2,
-        )
+        e_max = max(40.0 * KB * temperature, HBAR * omega + 20.0 * HBAR * broadening / t2)
 
     two_kt = 2.0 * KB * temperature
 
@@ -204,13 +199,8 @@ def gamma_res_integral_oracle(
         for p in (peak - 10.0 * half_width, peak, peak + 10.0 * half_width)
     })
     result = quad_adaptive(integrand, 0.0, e_max, rtol=rtol, points=points)
-    if not result.converged:
-        raise QuadratureError(
-            "resonant-absorption integral did not converge: "
-            f"{result.message} (estimate {result.value!r} +- {result.error_estimate!r})",
-            result=result,
-        )
-    return shift_scale(mode, material, ensemble) / HBAR * result.value
+    return (shift_scale(mode, material, ensemble) / HBAR
+            * result.checked("resonant-absorption integral"))
 
 
 def shift_bracket(omega: float, temperature: float) -> float:
@@ -324,13 +314,7 @@ def gamma_rel_integral_oracle(
         (0.0, e_max),
         rtol=rtol,
     )
-    if not result.converged:
-        raise QuadratureError(
-            "relaxation-absorption integral did not converge: "
-            f"{result.message} (estimate {result.value!r} +- {result.error_estimate!r})",
-            result=result,
-        )
-    return prefactor * result.value
+    return prefactor * result.checked("relaxation-absorption integral")
 
 
 def rayleigh_floor(omega: float, reference: Tuple[float, float]) -> float:

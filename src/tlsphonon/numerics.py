@@ -5,7 +5,8 @@ closed-form dissipation expressions elsewhere in the package: the digamma
 function entering the sound-velocity shift, numerically stable hyperbolics
 for thermal factors at millikelvin temperatures, and adaptive 1-D/2-D
 quadrature used to evaluate the ensemble integrals that the closed forms
-approximate.
+approximate. The quadrature is QUADPACK through ``scipy.integrate.quad``,
+whose QAGI maps an infinite range; break points need a finite range.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ class QuadratureResult:
         if self.message is not None:
             return False
         return self.error_estimate <= self.rtol * abs(self.value) + self.atol
+
+    def checked(self, what: str) -> float:
+        """``value`` when converged; otherwise raise :class:`QuadratureError`
+        naming ``what`` and carrying this result."""
+        if not self.converged:
+            raise QuadratureError(
+                f"{what} did not converge: {self.message} "
+                f"(estimate {self.value!r} +- {self.error_estimate!r})",
+                result=self,
+            )
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -122,61 +134,28 @@ def quad_adaptive(
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of ``integrand`` over [a, b].
 
-    Semi-infinite intervals are mapped onto [0, 1) with x = a + t/(1-t)
-    (mirrored for a lower-infinite endpoint) so the subdivision policy stays
-    deterministic and truncation is explicit in the caller's hands.
+    An infinite endpoint is handed to QUADPACK's QAGI, which maps the range
+    onto (0, 1] itself; either or both endpoints may be infinite.
 
-    ``points`` lists interior break points (in x space) where the integrand
-    is sharply peaked; without them the subdivision can step over a spike
-    much narrower than the interval.
+    ``points`` lists interior break points where the integrand is sharply
+    peaked; without them the subdivision can step over a spike much
+    narrower than the interval. Break points need a finite range.
 
-    Returns a :class:`QuadratureResult`; inspect ``converged`` rather than
-    expecting an exception. Non-convergence is never silent: the result
-    carries the integrator's message.
+    Returns a :class:`QuadratureResult`; inspect ``converged``, or call
+    ``checked``, rather than expecting an exception. Non-convergence is
+    never silent: the result carries the integrator's message.
     """
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
-    a = float(a)
-    b = float(b)
-
-    fn = integrand
-    lo, hi = a, b
-    mapped_points = points
-
-    if math.isinf(a) and math.isinf(b):
-        raise ValueError("doubly infinite intervals are not supported; split at a finite point")
-    if math.isinf(b) and not math.isinf(a):
-        def fn(t, _f=integrand, _a=a):  # x = a + t/(1-t), dx = dt/(1-t)^2
-            u = 1.0 - t
-            x = _a + t / u
-            if not math.isfinite(x):
-                return 0.0
-            return _f(x) / (u * u)
-
-        lo, hi = 0.0, 1.0
-        if points is not None:
-            mapped_points = [(p - a) / (1.0 + (p - a)) for p in points]
-    elif math.isinf(a) and not math.isinf(b):
-        def fn(t, _f=integrand, _b=b):  # x = b - t/(1-t)
-            u = 1.0 - t
-            x = _b - t / u
-            if not math.isfinite(x):
-                return 0.0
-            return _f(x) / (u * u)
-
-        lo, hi = 0.0, 1.0
-        if points is not None:
-            mapped_points = [(b - p) / (1.0 + (b - p)) for p in points]
-
     # epsabs=0 would make QUADPACK chase pure relative error on integrals
     # that may legitimately be 0; keep a tiny floor instead.
     epsabs = atol if atol > 0.0 else 1e-300
     from scipy.integrate import quad  # only the quadrature oracles integrate
 
     out = quad(
-        fn, lo, hi,
+        integrand, a, b,
         epsabs=epsabs, epsrel=rtol, limit=limit,
-        points=mapped_points, full_output=1,
+        points=points, full_output=1,
     )
     value, abserr, info = out[0], out[1], out[2]
     message = out[3] if len(out) > 3 else None
@@ -217,13 +196,7 @@ def quad2d_adaptive(
             return integrand(u, v)
 
         res = quad_adaptive(f, v_lo, v_hi, rtol=inner_rtol, atol=atol)
-        if not res.converged:
-            raise QuadratureError(
-                f"inner quadrature stalled at u={u!r}: {res.message} "
-                f"(estimate {res.value!r} +- {res.error_estimate!r})",
-                result=res,
-            )
-        return res.value
+        return res.checked(f"inner quadrature at u={u!r}")
 
     out = quad_adaptive(outer_integrand, outer[0], outer[1], rtol=rtol, atol=atol)
     return QuadratureResult(

@@ -157,8 +157,8 @@ class SweepPlan:
             raise ValueError("traces_per_100mk must be positive")
         if not self.power_settings:
             raise ValueError("at least one power setting required")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.detuning_points < 7:
             raise ValueError("detuning grid too coarse to resolve a line")
 

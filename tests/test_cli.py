@@ -549,16 +549,44 @@ class TestCliSynthFit:
 
 
 class TestFailureContract:
-    def test_nan_power_setting_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("setting, message", [
+        ("power", "optical powers must be finite"),
+        ("noise", "noise_sigma must be finite and >= 0, got nan"),
+    ], ids=["power", "noise"])
+    def test_nan_power_setting_is_a_config_error(self, tmp_path, capsys, setting, message):
         # json reads the literal NaN, and NaN passes the schema's minimum
         doc = base_doc()
-        doc["synth"]["power_settings_w"][0] = [float("nan"), 0.01]
+        if setting == "power":
+            doc["synth"]["power_settings_w"][0] = [float("nan"), 0.01]
+        else:
+            doc["synth"]["noise_sigma_w"] = float("nan")
         config_path = write_config(tmp_path, doc)
         assert "NaN" in config_path.read_text()
         assert main(["synth", "--config", str(config_path),
                      "--out", str(tmp_path / "data")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: optical powers must be finite") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("case", ["synth-out-is-a-file", "model-config-is-a-directory",
+                                      "fit-out-under-a-file"])
+    def test_os_error_is_one_error_line(self, tmp_path, capsys, case):
+        config_path = write_config(tmp_path, base_doc())
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        if case == "synth-out-is-a-file":
+            argv = ["synth", "--config", str(config_path), "--out", str(blocker)]
+        elif case == "model-config-is-a-directory":
+            argv = ["model", "--config", str(tmp_path), "--out", str(tmp_path / "model"),
+                    "--grid", "T=1.1:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"]
+        else:
+            assert main(["synth", "--config", str(config_path),
+                         "--out", str(tmp_path / "data")]) == 0
+            capsys.readouterr()
+            argv = ["fit", str(tmp_path / "data"), "--out", str(blocker / "sub")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     # the values of the first per-temperature row that the report table shows
     ROW_KEYS = ("temperature_k", "j_c_w_m2", "t1_t2_s2", "t1_s", "t2_s")

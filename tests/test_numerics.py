@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tlsphonon.numerics import (
+    QuadratureError,
     QuadratureResult,
     bose_occupation,
     coth,
@@ -94,6 +95,11 @@ class TestQuad:
         total = 2.0 * res.value
         assert total == pytest.approx(math.pi * half, rel=1e-10)
 
+    def test_doubly_infinite_gaussian(self):
+        res = quad_adaptive(lambda x: math.exp(-x * x), -math.inf, math.inf, rtol=1e-12)
+        assert res.converged
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+
     def test_break_points_catch_spikes(self):
         # a spike 1e-9 of the interval wide: bracketing points recover it to
         # the exact finite-interval mass; blind subdivision loses most of it
@@ -120,6 +126,17 @@ class TestQuad:
                                rtol=1e-8, atol=0.0)
         assert good.converged and not bad.converged
 
+    def test_checked_returns_value_or_raises_with_result(self):
+        good = QuadratureResult(value=2.5, error_estimate=1e-10, evaluations=21,
+                                rtol=1e-8, atol=0.0)
+        assert good.checked("test integral") == 2.5
+        bad = QuadratureResult(value=1.0, error_estimate=0.25, evaluations=63,
+                               rtol=1e-8, atol=0.0, message="roundoff")
+        with pytest.raises(QuadratureError) as exc:
+            bad.checked("test integral")
+        assert str(exc.value) == "test integral did not converge: roundoff (estimate 1.0 +- 0.25)"
+        assert exc.value.result is bad
+
     def test_2d_separable_product(self):
         res = quad2d_adaptive(lambda u, v: math.exp(-u) * v ** 2,
                               (0.0, 30.0), (0.0, 2.0), rtol=1e-10)
@@ -133,6 +150,8 @@ class TestQuad:
                               rtol=1e-10)
         assert res.value == pytest.approx(0.5, rel=1e-9)
 
-    def test_doubly_infinite_rejected(self):
-        with pytest.raises(ValueError):
-            quad_adaptive(lambda x: math.exp(-x * x), -math.inf, math.inf)
+    def test_2d_inner_nonconvergence_names_u(self):
+        rough = lambda u, v: math.sin(1.0 / v) if v != 0 else 0.0
+        with pytest.raises(QuadratureError, match=r"^inner quadrature at u=") as exc:
+            quad2d_adaptive(rough, (0.0, 1.0), (0.0, 1.0), rtol=1e-13)
+        assert not exc.value.result.converged
