@@ -160,8 +160,7 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
 def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
     loaded = load_dataset(dataset_dir)
     traces = [tr for (_, tr, err) in loaded if err is None]
-    load_errors = [f"trace {entry['file']}: {err}"
-                   for (entry, _, err) in loaded if err is not None]
+    load_errors = [err for (_, _, err) in loaded if err is not None]
 
     result = run_fit_pipeline(traces, config, load_errors=load_errors)
     report = result.report

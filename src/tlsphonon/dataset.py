@@ -221,22 +221,25 @@ def _off_grid(loaded: List[tuple]) -> List[int]:
 
 
 def load_dataset(directory: Path) -> List[tuple]:
-    """All traces of a dataset as (entry, trace-or-None, error-or-None).
+    """All traces of a dataset as (entry, trace-or-None, labelled error-or-None).
 
     Corrupted traces are surfaced rather than fatal, and so is a trace whose
     detuning grid differs from the one most traces of its power setting
     share; the caller decides how many failures the run tolerates.
     """
     directory = Path(directory)
-    manifest = read_manifest(directory)
+    entries = read_manifest(directory)["traces"]
+    labels = [f"trace {entry['file']}" if isinstance(entry, dict) and "file" in entry
+              else f"manifest entry {pos}" for pos, entry in enumerate(entries)]
     out = []
-    for entry in manifest["traces"]:
+    for entry, label in zip(entries, labels):
         try:
             out.append((entry, read_trace(directory, entry), None))
         except Exception as exc:
-            out.append((entry, None, f"{type(exc).__name__}: {exc}"))
+            out.append((entry, None, f"{label}: {type(exc).__name__}: {exc}"))
     for pos in _off_grid(out):
         entry, trace, _ = out[pos]
-        out[pos] = (entry, None, "ValueError: detuning grid differs from the one shared "
-                                 f"by most traces of power setting {trace.setting_index}")
+        out[pos] = (entry, None, f"{labels[pos]}: ValueError: detuning grid differs from the "
+                                 f"one shared by most traces of power setting "
+                                 f"{trace.setting_index}")
     return out

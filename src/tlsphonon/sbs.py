@@ -22,6 +22,12 @@ from .tls_core import MaterialParams, _require_positive
 WEAK_SIGNAL_WARN_LEVEL = 0.1  # g_B P_p L above this is no longer "weak"
 
 
+def _require_powers(pump_power: float, stokes_power: float) -> None:
+    if not (0.0 <= pump_power < math.inf and 0.0 <= stokes_power < math.inf):
+        raise ValueError(f"optical powers must be finite and >= 0, got {pump_power!r} "
+                         f"and {stokes_power!r} W")
+
+
 @dataclass(frozen=True)
 class OpticalDrive:
     """Optical operating point of a pump-probe gain measurement.
@@ -41,9 +47,7 @@ class OpticalDrive:
     fiber_length: float
 
     def __post_init__(self):
-        if not (0.0 <= self.pump_power < math.inf and 0.0 <= self.stokes_power < math.inf):
-            raise ValueError(f"optical powers must be finite and >= 0, got {self.pump_power!r} "
-                             f"and {self.stokes_power!r} W")
+        _require_powers(self.pump_power, self.stokes_power)
         _require_positive(pump_omega=self.pump_omega, detuning=self.detuning,
                           fiber_length=self.fiber_length)
 

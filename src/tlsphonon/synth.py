@@ -34,6 +34,7 @@ from .dissipation import (
 )
 from .sbs import (
     OpticalDrive,
+    _require_powers,
     brillouin_frequency,
     g_b_at_linewidth,
     peak_phonon_intensity,
@@ -42,6 +43,7 @@ from .sbs import (
 from .tls_core import MaterialParams, PhononMode, TLSEnsemble, _require_positive
 
 RUNG_STEP_K = 0.1          # the acquisition protocol is phrased per 100 mK
+MAX_RUNGS = 10_000
 DEFAULT_POINTS = 401
 DEFAULT_SPAN_FWHM = 10.0   # grid reaches +-10 expected linewidths
 FIXED_POINT_TOL = 1e-10
@@ -73,12 +75,11 @@ class ForwardModel:
 
     def __post_init__(self):
         _require_positive(pump_wavelength=self.pump_wavelength)
-        sources = sum(
-            x is not None
-            for x in (self.times, self.j_c_explicit, self.ensemble.jc_power_law)
-        )
-        if sources == 0:
-            raise ValueError("no critical-intensity source configured")
+        if self.j_c_explicit is not None:
+            _require_positive(j_c_explicit=self.j_c_explicit)
+        elif self.times is None and self.ensemble.jc_power_law is None:
+            raise ValueError("no critical-intensity source configured: no explicit J_c, "
+                             "no relaxation times, and the ensemble has no J_c power law")
 
     @property
     def pump_omega(self) -> float:
@@ -152,11 +153,19 @@ class SweepPlan:
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise ValueError("need t_start < t_end")
-        _require_positive(t_start=self.t_start)
+        _require_positive(t_start=self.t_start, t_end=self.t_end,
+                          detuning_span=self.detuning_span)
+        rungs = (self.t_end - self.t_start) / RUNG_STEP_K
+        if rungs > MAX_RUNGS:
+            raise ValueError(f"the ladder has {rungs:.0f} rungs, more than {MAX_RUNGS}")
         if self.traces_per_100mk < 1:
             raise ValueError("traces_per_100mk must be positive")
         if not self.power_settings:
             raise ValueError("at least one power setting required")
+        for setting in self.power_settings:
+            if len(setting) != 2:
+                raise ValueError(f"a power setting is a (pump, Stokes) pair, got {setting!r}")
+            _require_powers(*setting)
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.detuning_points < 7:

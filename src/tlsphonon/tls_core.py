@@ -30,12 +30,17 @@ def _require_positive(**kwargs):
         # floats (numpy scalars included) skip the array check: it costs ~4 us,
         # and a campaign validates ~20k scalars
         if isinstance(value, float):
-            ok = 0.0 < value < math.inf
+            if 0.0 < value < math.inf:
+                continue
+            got = repr(value)
         else:
             values = np.asarray(value)
-            ok = (np.isfinite(values) & (values > 0.0)).all()
-        if not ok:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            bad = ~(np.isfinite(values) & (values > 0.0))
+            if not bad.any():
+                continue
+            got = (repr(value) if values.ndim == 0
+                   else f"{values[bad][0].item()!r} ({bad.sum()} of {bad.size} values)")
+        raise ValueError(f"{name} must be finite and > 0, got {got}")
 
 
 # ---------------------------------------------------------------------------

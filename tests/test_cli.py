@@ -68,6 +68,79 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+INLINE_MATERIAL = {
+    "rho_kg_m3": 2666.0, "v_l_m_s": 4760.0, "v_t_m_s": 3092.0,
+    "n_eff": 1.495, "g_b_ref_w_m": 0.6, "gamma_ref_hz": 30e6,
+    "a_eff_m2": 1.6e-12, "l_fut_m": 0.022,
+}
+INLINE_ENSEMBLE = {"p_per_j_m3": 2.49e45, "gamma_l_ev": 0.5, "gamma_t_ev": 0.35,
+                   "jc_power_law": {"a_w_m2": 0.9, "b": 2.6}, "gamma_bg_hz": 650e3}
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """``doc`` with the value at key path ``path`` replaced (or deleted)."""
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    target = doc
+    for part in parents:
+        target = target[part]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+# (key path, new value, message pattern): every document parse_config rejects
+REJECTED = {
+    "unknown-top-key": (("bogus",), 1, "invalid config: config has unknown key 'bogus'"),
+    "unknown-material-key": (("material",), {**INLINE_MATERIAL, "bogus": 1},
+                             "material has unknown key 'bogus'"),
+    "unknown-synth-key": (("synth", "bogus"), 1, "synth has unknown key 'bogus'"),
+    "unknown-fit-key": (("fit", "bogus"), 1, "fit has unknown key 'bogus'"),
+    "unknown-jc_source-key": (("jc_source", "bogus"), 1, "jc_source has unknown key"),
+    "missing-seed": (("seed",), DELETE, "invalid config: config is missing key 'seed'"),
+    "times-missing-t2_s": (("jc_source",), {"type": "times", "t1_s": 1e-7},
+                           "jc_source is missing key 't2_s'"),
+    "string-number": (("synth", "noise_sigma_w"), "0",
+                      "synth.noise_sigma_w must be a number, got '0'"),
+    "bool-number": (("synth", "t_start_k"), True, "synth.t_start_k must be a number, got True"),
+    "fractional-seed": (("seed",), 1.5, "seed must be an integer, got 1.5"),
+    "synth-list": (("synth",), [], "synth must be an object, got \\[\\]"),
+    "unknown-source-type": (("jc_source", "type"), "bogus", "jc_source must be an object of type"),
+    "power-triple": (("synth", "power_settings_w", 0), [0.035, 0.01, 0.0], "pair"),
+    "power-negative": (("synth", "power_settings_w", 0), [0.035, -0.01],
+                       "optical powers must be finite and >= 0"),
+    "zero-span": (("synth", "detuning_span_fwhm"), 0, "detuning_span must be finite and > 0"),
+    "t_end-at-t_start": (("synth", "t_end_k"), 1.1, "need t_start < t_end"),
+    "negative-seed": (("seed",), -1, "seed must be >= 0, got -1"),
+    "negative-explicit-j_c": (("jc_source",), {"type": "explicit", "jc_w_m2": -1},
+                              "j_c_explicit must be finite and > 0"),
+    "negative-bin-width": (("fit", "bin_width_k"), -1, "fit.bin_width_k must be finite and > 0"),
+    "integer-weighted": (("fit", "weighted"), 1, "fit.weighted must be true or false, got 1"),
+}
+
+# every optional synth and fit key, and the optional material/ensemble keys inline
+FULL_DOC = base_doc(material=INLINE_MATERIAL, ensemble=INLINE_ENSEMBLE)
+FULL_DOC["synth"].update(detuning_points=51, detuning_span_fwhm=8.0,
+                         pump_wavelength_m=1.55e-6, center_drift=True)
+FULL_DOC["fit"].update(bin_width_k=0.2, t0_k=1.2, weighted=True)
+
+ACCEPTED = {
+    "base": base_doc(),
+    "inline-material-and-ensemble": FULL_DOC,
+    "times": base_doc(jc_source={"type": "times", "t1_s": 1e-7, "t2_s": 1e-9}),
+    "explicit": base_doc(jc_source={"type": "explicit", "jc_w_m2": 4.0}),
+    "no-center-drift": edited(base_doc(), ("synth", "center_drift"), False),
+    "no-synth-no-fit": edited(edited(base_doc(), ("synth",), DELETE), ("fit",), DELETE),
+    "no-power-law": base_doc(ensemble={**INLINE_ENSEMBLE, "jc_power_law": None},
+                             jc_source={"type": "times", "t1_s": 1e-7, "t2_s": 1e-9}),
+    "integral-float-integers": edited(edited(FULL_DOC, ("synth", "traces_per_100mk"), 2.0),
+                                      ("synth", "detuning_points"), 51.0),
+}
+
+
 class TestConfig:
     def test_presets_resolve(self):
         config = parse_config(base_doc())
@@ -75,17 +148,21 @@ class TestConfig:
         assert config.ensemble.jc_power_law == (0.9, 2.6)
         assert config.seed == 42
 
-    def test_schema_rejects_unknown_keys(self):
-        doc = base_doc()
-        doc["bogus"] = 1
-        with pytest.raises(ValueError, match="invalid config"):
-            parse_config(doc)
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_rejected_at_parse(self, case):
+        path, value, message = REJECTED[case]
+        with pytest.raises(ValueError, match=message) as exc:
+            parse_config(edited(base_doc(), path, value))
+        assert "\n" not in str(exc.value)
 
-    def test_missing_seed_rejected(self):
-        doc = base_doc()
-        del doc["seed"]
-        with pytest.raises(ValueError, match="invalid config"):
-            parse_config(doc)
+    @pytest.mark.parametrize("case", ACCEPTED)
+    def test_accepted_at_parse(self, case):
+        config = parse_config(ACCEPTED[case])
+        if "synth" in config.raw:
+            plan = config.sweep_plan()
+            assert plan.model == config.forward_model() and plan.rung_temperatures()
+        if case == "integral-float-integers":  # the same plan as FULL_DOC's 2 and 51
+            assert plan == parse_config(FULL_DOC).sweep_plan()
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
@@ -104,11 +181,7 @@ class TestConfig:
         assert config.j_c_explicit is None
 
     def test_inline_material_units(self):
-        doc = base_doc(material={
-            "rho_kg_m3": 2666.0, "v_l_m_s": 4760.0, "v_t_m_s": 3092.0,
-            "n_eff": 1.495, "g_b_ref_w_m": 0.6, "gamma_ref_hz": 30e6,
-            "a_eff_m2": 1.6e-12, "l_fut_m": 0.022,
-        })
+        doc = base_doc(material=INLINE_MATERIAL)
         config = parse_config(doc)
         assert config.material.gamma_ref == pytest.approx(TWO_PI * 30e6)
 
@@ -324,11 +397,15 @@ class TestCliModel:
                       if r["temperature_k"] == t]
             assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
-    def test_bad_grid_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid", ["T=0:1:2,J=1,f=1",
+                                      "T=nan:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"],
+                             ids=["zero-temperature", "nan-temperature"])
+    def test_bad_grid_exit_code(self, tmp_path, capsys, grid):
         config_path = write_config(tmp_path, base_doc())
         assert main(["model", "--config", str(config_path),
-                     "--out", str(tmp_path / "x"), "--grid", "T=0:1:2,J=1,f=1"]) == 2
-        assert "error" in capsys.readouterr().err
+                     "--out", str(tmp_path / "x"), "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _shift_one_grid_value(lines):
@@ -450,28 +527,40 @@ class TestCliSynthFit:
         assert any(victim.name in err for err in report["errors"])
         assert report["per_temperature"]  # pipeline still completed
 
-    @pytest.mark.parametrize("fault", [*TRACE_FAULTS, "missing-pump_w", "nan-pump_w"])
-    def test_damaged_trace_is_recorded_and_skipped(self, workspace, tmp_path, fault):
+    # ways to damage one manifest entry; an entry without a file is named by position
+    ENTRY_FAULTS = ["missing-pump_w", "nan-pump_w", "missing-file", "not-an-object"]
+
+    @pytest.mark.parametrize("fault", [*TRACE_FAULTS, *ENTRY_FAULTS])
+    def test_damaged_trace_is_recorded_and_skipped(self, workspace, tmp_path, capsys, fault):
         import shutil
         tmp, config_path, data = workspace
         broken = tmp_path / "broken"
         shutil.copytree(data, broken)
         manifest = read_manifest(broken)
         victim = manifest["traces"][3]
-        if fault.endswith("pump_w"):
+        label = f"trace {victim['file']}"
+        if fault in self.ENTRY_FAULTS:
             if fault == "missing-pump_w":
                 del victim["pump_w"]
-            else:
+            elif fault == "nan-pump_w":
                 victim["pump_w"] = float("nan")  # json writes the literal NaN
+            elif fault == "missing-file":
+                del victim["file"]
+                label = "manifest entry 3"
+            else:
+                manifest["traces"][3] = 7
+                label = "manifest entry 3"
             (broken / "manifest.json").write_text(json.dumps(manifest))
         else:
             path = broken / victim["file"]
             lines = TRACE_FAULTS[fault](path.read_text().splitlines())
             path.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "fit"
+        capsys.readouterr()
         assert main(["fit", str(broken), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert any(victim["file"] in err for err in report["errors"])
+        assert len(report["errors"]) == 1 and report["errors"][0].startswith(f"{label}: ")
+        assert capsys.readouterr().err.count("warning: ") == 1
         assert report["per_temperature"]
 
     @pytest.mark.parametrize("pump_w, warns", [(0.035, False), (1.0, True)])
@@ -506,7 +595,8 @@ class TestCliSynthFit:
         # frequency shift, which neither this model grid (no fit.t0_k) nor a
         # synth without center drift evaluates. The default synth drifts the
         # center, so it loads scipy.special, and fit, run last on its
-        # dataset, loads nothing more.
+        # dataset, loads nothing more. config checks keys and types itself,
+        # so nothing loads jsonschema.
         tmp, config_path, data = workspace
         assert main(["fit", str(data), "--out", str(tmp_path / "fit")]) == 0
         doc = base_doc()
@@ -517,7 +607,8 @@ class TestCliSynthFit:
             "import json, sys\n"
             "from tlsphonon.cli import main\n"
             "def loaded():\n"
-            "    return [m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special')\n"
+            "    return [m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special',\n"
+            "                        'jsonschema')\n"
             "            if m in sys.modules]\n"
             "seen = [['import', loaded()]]\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -549,19 +640,19 @@ class TestCliSynthFit:
 
 
 class TestFailureContract:
-    @pytest.mark.parametrize("setting, message", [
-        ("power", "optical powers must be finite"),
-        ("noise", "noise_sigma must be finite and >= 0, got nan"),
-    ], ids=["power", "noise"])
-    def test_nan_power_setting_is_a_config_error(self, tmp_path, capsys, setting, message):
-        # json reads the literal NaN, and NaN passes the schema's minimum
-        doc = base_doc()
-        if setting == "power":
-            doc["synth"]["power_settings_w"][0] = [float("nan"), 0.01]
-        else:
-            doc["synth"]["noise_sigma_w"] = float("nan")
+    @pytest.mark.parametrize("setting, value, message", [
+        (("power_settings_w", 0), [float("nan"), 0.01], "optical powers must be finite"),
+        (("noise_sigma_w",), float("nan"), "noise_sigma must be finite and >= 0, got nan"),
+        (("t_end_k",), float("inf"), "t_end must be finite and > 0, got inf"),
+        (("t_end_k",), 1e9, "the ladder has 9999999989 rungs, more than 10000"),
+    ], ids=["power", "noise", "t_end-inf", "t_end-1e9"])
+    def test_nan_power_setting_is_a_config_error(self, tmp_path, capsys, setting, value,
+                                                 message):
+        # json reads the literals NaN and Infinity; a range check has to reject them
+        doc = edited(base_doc(), ("synth", *setting), value)
         config_path = write_config(tmp_path, doc)
-        assert "NaN" in config_path.read_text()
+        text = config_path.read_text()
+        assert ("NaN" in text or "Infinity" in text) == (value != 1e9)
         assert main(["synth", "--config", str(config_path),
                      "--out", str(tmp_path / "data")]) == 2
         err = capsys.readouterr().err
