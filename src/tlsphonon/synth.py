@@ -44,6 +44,8 @@ from .tls_core import MaterialParams, PhononMode, TLSEnsemble, _require_positive
 
 RUNG_STEP_K = 0.1          # the acquisition protocol is phrased per 100 mK
 MAX_RUNGS = 10_000
+MAX_TRACES = 1_000_000     # rungs x settings x repeats
+MAX_SAMPLES = 100_000_000  # traces x detuning points
 DEFAULT_POINTS = 401
 DEFAULT_SPAN_FWHM = 10.0   # grid reaches +-10 expected linewidths
 FIXED_POINT_TOL = 1e-10
@@ -170,6 +172,14 @@ class SweepPlan:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.detuning_points < 7:
             raise ValueError("detuning grid too coarse to resolve a line")
+        # checked before plan_acquisitions lists a trace or allocates a grid
+        traces = (len(self.rung_temperatures()) * len(self.power_settings)
+                  * self.traces_per_100mk)
+        if traces > MAX_TRACES:
+            raise ValueError(f"the campaign has {traces} traces, more than {MAX_TRACES}")
+        samples = traces * self.detuning_points
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"the campaign has {samples} samples, more than {MAX_SAMPLES}")
 
     def rung_temperatures(self) -> List[float]:
         """Ladder rungs, one per 100 mK bin, sitting at the bin centers."""

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,14 @@ def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH, for
+    commands run in a child process."""
+    src = str(Path(tlsphonon.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def tree_digest(root: Path) -> str:
@@ -586,57 +595,59 @@ class TestCliSynthFit:
         assert exc.value.code == 2
         assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
-    def test_only_fit_loads_optimize_and_integrate(self, workspace, tmp_path):
-        # (the name predates the in-house fit solver: no command loads
-        # scipy.optimize now.) scipy.optimize, scipy.integrate and
-        # scipy.special take ~0.3 s each to import. No command calls the first
-        # two: the fits have their own solver and only the quadrature oracles
-        # integrate. The digamma of scipy.special is called only for a
-        # frequency shift, which neither this model grid (no fit.t0_k) nor a
-        # synth without center drift evaluates. The default synth drifts the
-        # center, so it loads scipy.special, and fit, run last on its
-        # dataset, loads nothing more. config checks keys and types itself,
-        # so nothing loads jsonschema.
+    def test_no_command_loads_scipy(self, workspace, tmp_path):
+        # Importing scipy.special, scipy.optimize or scipy.integrate costs
+        # ~0.3 s each, and no command needs any scipy module: the fits have
+        # their own solver, the frequency shift its own digamma, and only the
+        # quadrature oracles integrate. The commands cover each path that
+        # reaches the digamma or skips it: a model grid without and one with
+        # fit.t0_k, a synth without and one with center drift, report, and
+        # fit on the drifting dataset. config checks keys and types itself,
+        # so nothing loads jsonschema either.
         tmp, config_path, data = workspace
         assert main(["fit", str(data), "--out", str(tmp_path / "fit")]) == 0
-        doc = base_doc()
-        doc["synth"]["center_drift"] = False
         steady = tmp_path / "steady.json"
-        steady.write_text(json.dumps(doc))
+        steady.write_text(json.dumps(edited(base_doc(), ("synth", "center_drift"), False)))
+        drifting = tmp_path / "drifting.json"
+        drifting.write_text(json.dumps(edited(base_doc(), ("fit", "t0_k"), 1.1)))
         script = (
             "import json, sys\n"
             "from tlsphonon.cli import main\n"
             "def loaded():\n"
-            "    return [m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special',\n"
-            "                        'jsonschema')\n"
-            "            if m in sys.modules]\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.partition('.')[0] in ('scipy', 'jsonschema'))\n"
             "seen = [['import', loaded()]]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0\n"
             "    seen.append([argv[0], loaded()])\n"
             "print(json.dumps(seen))\n"
         )
+        grid = ["--grid", "T=1.1:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"]
         commands = [
-            ["model", "--config", str(config_path), "--out", str(tmp_path / "model"),
-             "--grid", "T=1.1:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"],
+            ["model", "--config", str(config_path), "--out", str(tmp_path / "model"), *grid],
+            ["model", "--config", str(drifting), "--out", str(tmp_path / "shift"), *grid],
             ["synth", "--config", str(steady), "--out", str(tmp_path / "steady")],
             ["report", "--out", str(tmp_path / "fit")],
             ["synth", "--config", str(config_path), "--out", str(tmp_path / "data")],
             ["fit", str(tmp_path / "data"), "--out", str(tmp_path / "refit")],
         ]
-        src = str(Path(tlsphonon.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == [["import", []], ["model", []], ["synth", []], ["report", []],
-                        ["synth", ["scipy.special"]], ["fit", ["scipy.special"]]]
+        assert seen == [["import", []], ["model", []], ["model", []], ["synth", []],
+                        ["report", []], ["synth", []], ["fit", []]]
 
     def test_report_requires_fit(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "report.json" in capsys.readouterr().err
+
+
+def limit_memory():
+    """Cap a child's address space at 1.5 GB, so a run that tries to allocate
+    a huge campaign fails fast instead of taking the machine's memory."""
+    limit = 1536 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestFailureContract:
@@ -645,18 +656,26 @@ class TestFailureContract:
         (("noise_sigma_w",), float("nan"), "noise_sigma must be finite and >= 0, got nan"),
         (("t_end_k",), float("inf"), "t_end must be finite and > 0, got inf"),
         (("t_end_k",), 1e9, "the ladder has 9999999989 rungs, more than 10000"),
-    ], ids=["power", "noise", "t_end-inf", "t_end-1e9"])
-    def test_nan_power_setting_is_a_config_error(self, tmp_path, capsys, setting, value,
-                                                 message):
-        # json reads the literals NaN and Infinity; a range check has to reject them
+        (("traces_per_100mk",), 1e7, "the campaign has 240000000 traces, more than 1000000"),
+        (("detuning_points",), 1e9,
+         "the campaign has 48000000000 samples, more than 100000000"),
+    ], ids=["power", "noise", "t_end-inf", "t_end-1e9", "traces-1e7", "points-1e9"])
+    def test_nan_power_setting_is_a_config_error(self, tmp_path, setting, value, message):
+        # json reads the literals NaN and Infinity; a range check has to reject
+        # them. A finite value too large to run is rejected as quickly: the
+        # child runs under a time and a memory limit, so a campaign that starts
+        # anyway fails the test rather than filling the machine.
         doc = edited(base_doc(), ("synth", *setting), value)
         config_path = write_config(tmp_path, doc)
         text = config_path.read_text()
-        assert ("NaN" in text or "Infinity" in text) == (value != 1e9)
-        assert main(["synth", "--config", str(config_path),
-                     "--out", str(tmp_path / "data")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert ("NaN" in text or "Infinity" in text) == (not np.all(np.isfinite(value)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tlsphonon.cli", "synth", "--config", str(config_path),
+             "--out", str(tmp_path / "data")],
+            env=src_env(), capture_output=True, text=True, timeout=10,
+            preexec_fn=limit_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("case", ["synth-out-is-a-file", "model-config-is-a-directory",

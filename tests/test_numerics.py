@@ -34,6 +34,8 @@ class TestDigamma:
     def test_even_in_x(self):
         for x in (0.3, 1.7, 42.0, 9999.0):
             assert digamma_half_plus_imag(x) == digamma_half_plus_imag(-x)
+        xs = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
+        assert np.array_equal(digamma_half_plus_imag(-xs), digamma_half_plus_imag(xs))
 
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0, 1e4])
     def test_against_series_oracle(self, x):
@@ -47,6 +49,27 @@ class TestDigamma:
             mine = digamma_half_plus_imag(float(x))
             ref = mp_digamma_half_plus_imag(float(x))
             assert mine == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+    def test_full_range_to_double_precision(self):
+        # x = 0 and 2014 log-spaced points over twelve decades, as one array,
+        # against the 40-digit oracle: a few ulps of max(1, |psi|)
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 2014)])
+        ref = np.array([mp_digamma_half_plus_imag(float(x)) for x in xs])
+        err = np.abs(digamma_half_plus_imag(xs) - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 4e-15
+
+    def test_shapes(self):
+        assert digamma_half_plus_imag(np.ones((3, 4))).shape == (3, 4)
+        assert digamma_half_plus_imag(np.zeros(0)).shape == (0,)
+        assert isinstance(digamma_half_plus_imag(2.5), float)
+
+    def test_finite_at_huge_argument(self):
+        # 1/w^2 underflows where w*w would overflow; psi(1/2 + ix) ~ ln x
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value = digamma_half_plus_imag(1e300)
+            [array_value] = digamma_half_plus_imag(np.array([1e300]))
+        assert math.isfinite(value) and array_value == value
+        assert value == pytest.approx(math.log(1e300), rel=1e-15)
 
     def test_log_asymptote(self):
         # x = 10 already sits close to ln x; the correction is O(1e-2)

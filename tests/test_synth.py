@@ -10,6 +10,8 @@ from tlsphonon.constants import TWO_PI
 from tlsphonon.dissipation import gamma_rel_closed, gamma_res_weak, total_linewidth
 from tlsphonon.sbs import OpticalDrive, stokes_gain, g_b_at_linewidth
 from tlsphonon.synth import (
+    MAX_SAMPLES,
+    MAX_TRACES,
     BGSTrace,
     ConvergenceError,
     ForwardModel,
@@ -201,6 +203,22 @@ class TestSweep:
             SweepPlan(t_start=1.1, t_end=1.15, traces_per_100mk=1,
                       power_settings=[(1.0, 1.0)], noise_sigma=0.0,
                       model=model).rung_temperatures()
+
+    def test_campaign_size_caps(self, model):
+        # two rungs x one setting; the constructor counts, it plans nothing
+        def plan(repeats, points=7):
+            return SweepPlan(t_start=1.1, t_end=1.3, traces_per_100mk=repeats,
+                             power_settings=[(0.035, 0.55e-3)], noise_sigma=0.0,
+                             model=model, detuning_points=points)
+
+        plan(MAX_TRACES // 2)
+        with pytest.raises(ValueError, match=f"^the campaign has {MAX_TRACES + 2} traces, "
+                                             f"more than {MAX_TRACES}$"):
+            plan(MAX_TRACES // 2 + 1)
+        plan(1, MAX_SAMPLES // 2)
+        with pytest.raises(ValueError, match=f"^the campaign has {MAX_SAMPLES + 2} samples, "
+                                             f"more than {MAX_SAMPLES}$"):
+            plan(1, MAX_SAMPLES // 2 + 1)
 
 
 class TestBinning:
