@@ -27,7 +27,7 @@ from .dataset import (format_rows, load_dataset, read_manifest, require_key, wri
 from .dissipation import decay_length, q_factor, saturation_floor, total_linewidth
 from .pipeline import TABLE_COLUMNS, render_report_table, run_fit_pipeline
 from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
-from .synth import plan_acquisitions, run_acquisition
+from .synth import synth_sweep
 from .tls_core import DriveState, PhononMode
 
 
@@ -134,22 +134,20 @@ def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
 
 def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     plan = config.sweep_plan()
-    grid, acquisitions = plan_acquisitions(plan)
 
     # conservative weak-signal check: the line is narrowest (gain highest)
     # at the saturation floor
     model = plan.model
     g_b_max = g_b_at_linewidth(model.material,
                                saturation_floor(plan.t_start, model.material, model.ensemble))
-    drives = {acq.setting_index: acq.drive for acq in acquisitions}
-    for idx, drive in drives.items():
+    for idx, drive in enumerate(plan.drives):
         margin = weak_signal_margin(drive, g_b_max)
         if margin > WEAK_SIGNAL_WARN_LEVEL:
             print(f"warning: power setting {idx} has single-pass gain "
                   f"g_B*P_p*L = {margin:.3g} > {WEAK_SIGNAL_WARN_LEVEL}; "
                   "the weak-signal model is marginal there", file=sys.stderr)
 
-    traces = [run_acquisition(acq, plan, grid) for acq in acquisitions]
+    traces = synth_sweep(plan)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = [write_trace(out_dir, tr) for tr in traces]

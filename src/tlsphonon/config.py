@@ -125,8 +125,10 @@ class RunConfig:
             raise ValueError("config has no 'synth' section")
         settings = synth["power_settings_w"]
         if not (isinstance(settings, list)
-                and all(isinstance(ps, list) and all(map(_is_number, ps)) for ps in settings)):
-            raise _invalid("synth.power_settings_w", "must be a list of number lists", settings)
+                and all(isinstance(ps, list) and len(ps) == 2 and all(map(_is_number, ps))
+                        for ps in settings)):
+            raise _invalid("synth.power_settings_w",
+                           "must be a list of (pump, Stokes) number pairs", settings)
         return SweepPlan(
             t_start=float(_number(synth, "synth.t_start_k")),
             t_end=float(_number(synth, "synth.t_end_k")),

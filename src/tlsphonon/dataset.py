@@ -160,7 +160,6 @@ def read_trace(directory: Path, entry: dict) -> BGSTrace:
         pump_power=entry["pump_w"],
         stokes_power=entry["probe_w"],
         pump_omega=entry["pump_frequency_hz"] * TWO_PI,
-        detuning=float(np.median(det)) * TWO_PI,
         fiber_length=entry["length_m"],
     )
     return BGSTrace(

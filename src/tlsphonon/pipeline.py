@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -110,11 +110,14 @@ def _bin_stage(traces: List[BGSTrace], bin_width: float) -> List[FitUnit]:
 
 def _lorentz_stage(units: List[FitUnit], config: RunConfig,
                    errors: List[str]) -> List[FitUnit]:
-    """The units whose spectrum fits a Lorentzian, failures to ``errors``."""
+    """The units whose spectrum fits a Lorentzian with a line center > 0,
+    failures to ``errors``."""
     fitted = []
     for unit in units:
         try:
             fit = fit_lorentzian(unit.trace)
+            if not fit.omega_hat > 0.0:  # a detuning axis shifted through zero
+                raise FitError(f"fitted line center {_hz(fit.omega_hat):.6g} Hz is not > 0")
         except FitError as exc:
             errors.append(f"bin {unit.center:.3f} K setting {unit.setting}: {exc}")
             continue
@@ -152,27 +155,34 @@ def _saturation_inputs(fitted: List[FitUnit], config: RunConfig):
 
 def _saturation_stage(bins, sigmas, config: RunConfig, shared: bool,
                       notes: List[str]):
-    """Saturation fits in the order of ``bins``, P*gamma^2 (the median of the
-    per-bin fits unless shared; None if the stage failed) and its sigma. A
-    failing per-bin fit ends the stage and keeps the fits made before it."""
-    saturation: List[SaturationFit] = []
+    """Saturation fits paired with their bins' modes, in the order of ``bins``,
+    P*gamma^2 (the median of the per-bin fits unless shared; None if no fit
+    was made) and its sigma. A failing per-bin fit is noted and skipped."""
     if not bins:
         notes.append(
             f"saturation stage skipped: fewer than {MIN_SATURATION_SETTINGS} "
             "power settings per temperature bin"
         )
-        return saturation, None, 0.0
-    try:
-        if shared:
+        return [], None, 0.0
+    if shared:
+        try:
             shared_fit = fit_saturation_shared(bins, config.material, sigmas=sigmas)
-            return shared_fit.per_bin, shared_fit.p_gamma2, shared_fit.p_gamma2_sigma
-        for (t, mode, points), sig in zip(bins, sigmas or [None] * len(bins)):
-            saturation.append(fit_saturation(points, mode, config.material, t, sigmas=sig))
-    except FitError as exc:
-        notes.append(f"saturation stage failed: {exc}")
+        except FitError as exc:
+            notes.append(f"saturation stage failed: {exc}")
+            return [], None, 0.0
+        return (list(zip(shared_fit.per_bin, (mode for _, mode, _ in bins))),
+                shared_fit.p_gamma2, shared_fit.p_gamma2_sigma)
+    saturation = []
+    for (t, mode, points), sig in zip(bins, sigmas or [None] * len(bins)):
+        try:
+            saturation.append((fit_saturation(points, mode, config.material, t, sigmas=sig),
+                               mode))
+        except FitError as exc:
+            notes.append(f"saturation fit at {t:.3f} K failed: {exc}")
+    if not saturation:
         return saturation, None, 0.0
-    return (saturation, float(np.median([s.p_gamma2 for s in saturation])),
-            float(np.median([s.p_gamma2_sigma for s in saturation])))
+    return (saturation, float(np.median([s.p_gamma2 for s, _ in saturation])),
+            float(np.median([s.p_gamma2_sigma for s, _ in saturation])))
 
 
 def _powerlaw_stage(saturation: List[SaturationFit], config: RunConfig,
@@ -199,16 +209,17 @@ def _powerlaw_stage(saturation: List[SaturationFit], config: RunConfig,
     return powerlaw, decomposition
 
 
-def _times_stage(saturation: List[SaturationFit], bins, decomposition,
+def _times_stage(saturation: List[Tuple[SaturationFit, PhononMode]], decomposition,
                  config: RunConfig) -> List[dict]:
-    """Per-temperature rows: the saturation fit and the relaxation times."""
+    """Per-temperature rows: each saturation fit and the relaxation times
+    at its bin's mode."""
     ensemble_fit = config.ensemble
     if decomposition is not None:
         # gamma_t=None: the default transverse coupling the decomposition assumed
         ensemble_fit = replace(config.ensemble, p=decomposition.p,
                                gamma_l=decomposition.gamma_l, gamma_t=None)
     rows = []
-    for sat, (_, mode, _) in zip(saturation, bins):
+    for sat, mode in saturation:
         times = extract_times(sat, config.material, ensemble_fit, mode, sat.temperature)
         rows.append(dict(zip(TABLE_COLUMNS["per_temperature"], (
             sat.temperature, sat.p_gamma2, sat.p_gamma2_sigma, sat.j_c, sat.j_c_sigma,
@@ -295,8 +306,9 @@ def run_fit_pipeline(
     saturation, p_gamma2, p_gamma2_sigma = _saturation_stage(
         bins, sigmas if weighted else None, config,
         bool(fit_cfg.get("shared_p_gamma2", True)), notes)
-    powerlaw, decomposition = _powerlaw_stage(saturation, config, p_gamma2, notes)
-    report["per_temperature"] = _times_stage(saturation, bins, decomposition, config)
+    powerlaw, decomposition = _powerlaw_stage([sat for sat, _ in saturation], config,
+                                              p_gamma2, notes)
+    report["per_temperature"] = _times_stage(saturation, decomposition, config)
     report["freq_shift"] = _shift_stage(fitted, config, p_gamma2, p_gamma2_sigma, notes)
     report["global"] = _global_block(p_gamma2, p_gamma2_sigma, powerlaw, decomposition)
     return result

@@ -5,7 +5,10 @@ an acoustic wave via electrostriction; the wave scatters pump light into the
 Stokes field via photoelasticity. In the weak-signal regime the measured
 Stokes power gain traces a Lorentzian in the pump-probe detuning, and the
 intra-fiber phonon intensity follows the optical powers, which is how the
-experimentalist dials the acoustic drive without touching the sample.
+experimentalist dials the acoustic drive without touching the sample. A
+drive is therefore one power setting. The detuning is the spectrum's axis,
+swept by the synthesizer, so the gain and intensity profiles take it as an
+argument.
 """
 
 from __future__ import annotations
@@ -22,39 +25,26 @@ from .tls_core import MaterialParams, _require_positive
 WEAK_SIGNAL_WARN_LEVEL = 0.1  # g_B P_p L above this is no longer "weak"
 
 
-def _require_powers(pump_power: float, stokes_power: float) -> None:
-    if not (0.0 <= pump_power < math.inf and 0.0 <= stokes_power < math.inf):
-        raise ValueError(f"optical powers must be finite and >= 0, got {pump_power!r} "
-                         f"and {stokes_power!r} W")
-
-
 @dataclass(frozen=True)
 class OpticalDrive:
-    """Optical operating point of a pump-probe gain measurement.
+    """One power setting of a pump-probe gain measurement: the attenuators
+    fix the powers, and the powers fix the acoustic drive.
 
     pump_power / stokes_power  input powers [W]
     pump_omega                 pump angular frequency [rad/s]
-    detuning                   pump-Stokes angular detuning omega_IM [rad/s],
-                               set by the intensity modulator (the nominal
-                               lock point; spectra sweep around it)
     fiber_length               interaction length [m]
     """
 
     pump_power: float
     stokes_power: float
     pump_omega: float
-    detuning: float
     fiber_length: float
 
     def __post_init__(self):
-        _require_powers(self.pump_power, self.stokes_power)
-        _require_positive(pump_omega=self.pump_omega, detuning=self.detuning,
-                          fiber_length=self.fiber_length)
-
-    @property
-    def stokes_omega(self) -> float:
-        """Probe carrier: single lower sideband at omega_p - omega_IM."""
-        return self.pump_omega - self.detuning
+        if not (0.0 <= self.pump_power < math.inf and 0.0 <= self.stokes_power < math.inf):
+            raise ValueError(f"optical powers must be finite and >= 0, got "
+                             f"{self.pump_power!r} and {self.stokes_power!r} W")
+        _require_positive(pump_omega=self.pump_omega, fiber_length=self.fiber_length)
 
 
 def brillouin_frequency(
@@ -93,7 +83,7 @@ def stokes_gain(
     omega_ac: float,
     gamma: float,
     g_b: float,
-    omega_im=None,
+    omega_im,
 ):
     """Stokes power gain Delta P_S [W] at detuning omega_IM.
 
@@ -101,12 +91,9 @@ def stokes_gain(
 
     Weak-signal expression (optical loss corrections dropped); peak value
     g_B P_p P_S L at omega_IM = Omega, half maximum one half-linewidth out.
-    ``omega_im`` may be an array for spectrum evaluation; defaults to the
-    drive's nominal detuning.
+    ``omega_im`` may be an array for spectrum evaluation.
     """
     _require_positive(omega_ac=omega_ac, gamma=gamma, g_b=g_b)
-    if omega_im is None:
-        omega_im = drive.detuning
     peak = g_b * drive.pump_power * drive.stokes_power * drive.fiber_length
     return peak * lorentzian_profile(omega_im, omega_ac, gamma)
 
@@ -135,7 +122,7 @@ def phonon_intensity(
     gamma: float,
     material: MaterialParams,
     g_b_peak: float,
-    omega_im=None,
+    omega_im,
 ):
     """Steady-state acoustic intensity J(omega_IM) [W/m^2] driven via SBS.
 
@@ -147,8 +134,6 @@ def phonon_intensity(
     as 1/Gamma when the line narrows.
     """
     _require_positive(omega_ac=omega_ac, gamma=gamma, g_b_peak=g_b_peak)
-    if omega_im is None:
-        omega_im = drive.detuning
     omega_im = np.asarray(omega_im, dtype=float)
     v = material.sound_speed("L")
     profile = g_b_peak * lorentzian_profile(omega_im, omega_ac, gamma)

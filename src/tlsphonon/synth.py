@@ -18,7 +18,7 @@ emitted spectrum is the exact Lorentzian for that operating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +34,6 @@ from .dissipation import (
 )
 from .sbs import (
     OpticalDrive,
-    _require_powers,
     brillouin_frequency,
     g_b_at_linewidth,
     peak_phonon_intensity,
@@ -140,7 +139,11 @@ class BGSTrace:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """A warm-up campaign: temperature ladder x power settings x repeats."""
+    """A warm-up campaign: temperature ladder x power settings x repeats.
+
+    ``drives`` holds one :class:`OpticalDrive` per power setting, in the order
+    of ``power_settings``; every acquisition at a setting shares its drive.
+    """
 
     t_start: float
     t_end: float
@@ -151,6 +154,7 @@ class SweepPlan:
     base_seed: int = 0
     detuning_points: int = DEFAULT_POINTS
     detuning_span: float = DEFAULT_SPAN_FWHM
+    drives: Tuple[OpticalDrive, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
@@ -164,10 +168,11 @@ class SweepPlan:
             raise ValueError("traces_per_100mk must be positive")
         if not self.power_settings:
             raise ValueError("at least one power setting required")
-        for setting in self.power_settings:
-            if len(setting) != 2:
-                raise ValueError(f"a power setting is a (pump, Stokes) pair, got {setting!r}")
-            _require_powers(*setting)
+        object.__setattr__(self, "drives", tuple(
+            OpticalDrive(pump_power=pump, stokes_power=stokes,
+                         pump_omega=self.model.pump_omega,
+                         fiber_length=self.model.material.l_fut)
+            for pump, stokes in self.power_settings))
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.detuning_points < 7:
@@ -350,14 +355,7 @@ def plan_acquisitions(plan: SweepPlan) -> Tuple[np.ndarray, List[Acquisition]]:
     acquisitions = []
     ordinal = 0
     for temperature in rungs:
-        for setting_index, (pump, stokes) in enumerate(plan.power_settings):
-            drive = OpticalDrive(
-                pump_power=pump,
-                stokes_power=stokes,
-                pump_omega=model.pump_omega,
-                detuning=model.line_center(temperature),
-                fiber_length=model.material.l_fut,
-            )
+        for setting_index, drive in enumerate(plan.drives):
             for _ in range(plan.traces_per_100mk):
                 acquisitions.append(Acquisition(
                     temperature=temperature,

@@ -149,10 +149,6 @@ class TLSState:
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
 
-    @property
-    def energy(self) -> float:
-        return tls_energy(self)
-
 
 @dataclass(frozen=True)
 class PhononMode:

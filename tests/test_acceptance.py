@@ -38,7 +38,7 @@ from tlsphonon.dissipation import (
 )
 from tlsphonon.numerics import digamma_half_plus_imag, quad_adaptive
 from tlsphonon.pipeline import run_fit_pipeline
-from tlsphonon.sbs import OpticalDrive, g_b_at_linewidth
+from tlsphonon.sbs import g_b_at_linewidth
 from tlsphonon.synth import solve_self_consistent, synth_sweep
 from tlsphonon.tls_core import DriveState, TLSState, get_preset, golden_rule_rate
 
@@ -78,14 +78,10 @@ def build_campaign(seed, t_start, t_end, traces_per_100mk, snr=100.0):
     peaks = []
     intensities = []
     for rung in plan.rung_temperatures():
-        for pump, stokes in plan.power_settings:
-            drive = OpticalDrive(pump_power=pump, stokes_power=stokes,
-                                 pump_omega=model.pump_omega,
-                                 detuning=model.line_center(rung),
-                                 fiber_length=model.material.l_fut)
+        for drive in plan.drives:
             point = solve_self_consistent(rung, drive, model)
             peaks.append(g_b_at_linewidth(model.material, point.gamma_total)
-                         * pump * stokes * model.material.l_fut)
+                         * drive.pump_power * drive.stokes_power * drive.fiber_length)
             intensities.append(point.peak_intensity)
     doc["synth"]["noise_sigma_w"] = min(peaks) / snr
     return parse_config(doc), (min(intensities), max(intensities))

@@ -572,6 +572,65 @@ class TestCliSynthFit:
         assert capsys.readouterr().err.count("warning: ") == 1
         assert report["per_temperature"]
 
+    @staticmethod
+    def _fit_without(data, tmp_path, settings, shift_hz=None):
+        """Fit a copy of ``data`` in which the traces of ``settings`` are left
+        out of the manifest or, given ``shift_hz``, have their detuning axis
+        shifted by it; returns the exit code and the report."""
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(data, broken)
+        manifest = read_manifest(broken)
+        victims = [e for e in manifest["traces"] if e["setting_index"] in settings]
+        if shift_hz is None:
+            manifest["traces"] = [e for e in manifest["traces"] if e not in victims]
+            (broken / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            for entry in victims:
+                path = broken / entry["file"]
+                header, *lines = path.read_text().splitlines()
+                rows = (line.split(",") for line in lines)
+                path.write_text("".join(f"{line}\n" for line in [header, *(
+                    f"{float(f_hz) + shift_hz!r},{gain}" for f_hz, gain in rows)]))
+        code = main(["fit", str(broken), "--out", str(tmp_path / "fit")])
+        return code, json.loads((tmp_path / "fit" / "report.json").read_text())
+
+    @pytest.mark.parametrize("missing", [(2,), (2, 4)], ids=["one", "two"])
+    def test_missing_power_setting(self, workspace, tmp_path, capsys, missing):
+        # the manifest lists none of a setting's traces: nothing to record, and
+        # the saturation stage runs as long as five settings reach each bin
+        tmp, config_path, data = workspace
+        capsys.readouterr()
+        code, report = self._fit_without(data, tmp_path, missing)
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert report["errors"] == []
+        assert {row["setting_index"] for row in report["per_bin"]} == (
+            set(range(6)) - set(missing))
+        if len(missing) == 1:
+            assert len(report["per_temperature"]) == 4  # every bin of the ladder
+        else:
+            assert report["per_temperature"] == []
+            assert any("saturation stage skipped" in n for n in report["notes"])
+
+    def test_negative_detuning_axis_is_recorded_per_unit(self, workspace, tmp_path, capsys):
+        # a setting whose axis was shifted through zero fits a line center < 0:
+        # each of its units is one recorded error, and every table is what the
+        # fit writes without that setting
+        tmp, config_path, data = workspace
+        capsys.readouterr()
+        code, report = self._fit_without(data, tmp_path / "shifted", (2,), shift_hz=-100e9)
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("warning: ") == 4
+        assert len(report["errors"]) == 4
+        for center, error in zip((1.15, 1.25, 1.35, 1.45), report["errors"]):
+            assert error.startswith(f"bin {center:.3f} K setting 2: fitted line center -")
+            assert error.endswith(" Hz is not > 0")
+        _, without = self._fit_without(data, tmp_path / "without", (2,))
+        for key in ("per_bin", "per_temperature", "freq_shift", "global"):
+            assert report[key] == without[key]
+
     @pytest.mark.parametrize("pump_w, warns", [(0.035, False), (1.0, True)])
     def test_weak_signal_warning(self, tmp_path, capsys, pump_w, warns):
         # the check reads only t_start and the pump powers, which base_doc
@@ -747,6 +806,30 @@ class TestPipelineOptions:
         truth = config.ensemble.p * config.ensemble.gamma_l ** 2
         for row in result.report["per_temperature"]:
             assert abs(row["p_gamma2_j_m3"] / truth - 1.0) < 1e-3
+
+    def test_per_bin_coupling_skips_a_failed_bin(self):
+        # squeezing one bin's intensities below a decade fails only that bin's
+        # saturation fit: the bins after it still pair with their own modes,
+        # and P*gamma^2 is the median over the fitted bins
+        import dataclasses
+        doc = base_doc()
+        doc["fit"]["shared_p_gamma2"] = False
+        config = parse_config(doc)
+        traces = synth_sweep(config.sweep_plan())
+        in_bin = [1.2 < tr.temperature < 1.3 for tr in traces]
+        squeezed = [dataclasses.replace(tr, peak_intensity=1.0) if inside else tr
+                    for tr, inside in zip(traces, in_bin)]
+        report = run_fit_pipeline(squeezed, config).report
+        without = run_fit_pipeline([tr for tr, inside in zip(traces, in_bin) if not inside],
+                                   config).report
+        assert [n for n in report["notes"] if "1.250 K" in n] == [
+            "saturation fit at 1.250 K failed: saturation fit needs intensities "
+            "spanning at least one decade"]
+        assert len(report["per_temperature"]) == 3
+        assert report["per_temperature"] == without["per_temperature"]
+        assert report["global"] == without["global"]
+        assert report["global"]["p_gamma2_j_m3"] == np.median(
+            [row["p_gamma2_j_m3"] for row in report["per_temperature"]])
 
     def test_weighted_mode(self):
         doc = base_doc()

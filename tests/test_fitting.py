@@ -54,8 +54,7 @@ def make_trace(ge_doped, center=CENTER, gamma=GAMMA, peak=PEAK, points=401,
     if noise > 0.0:
         gain = gain + np.random.default_rng(seed).normal(0.0, noise, size=points)
     drive = OpticalDrive(pump_power=0.035, stokes_power=0.55e-3,
-                         pump_omega=TWO_PI * 1.935e14, detuning=center,
-                         fiber_length=material.l_fut)
+                         pump_omega=TWO_PI * 1.935e14, fiber_length=material.l_fut)
     return BGSTrace(temperature=temperature, detuning_grid=grid, gain=gain,
                     drive=drive, seed=seed, timestamp_index=0)
 

@@ -44,17 +44,16 @@ def test_explicit_j_c_takes_precedence_over_times(ge_doped):
             == total_linewidth(mode, drive, material, ensemble, times=times, j_c=4.0))
 
 
-def drive_for(model, t, pump=0.035, stokes=0.55e-3):
+def drive_for(model, pump=0.035, stokes=0.55e-3):
     return OpticalDrive(pump_power=pump, stokes_power=stokes,
                         pump_omega=model.pump_omega,
-                        detuning=model.line_center(t),
                         fiber_length=model.material.l_fut)
 
 
 class TestSelfConsistency:
     def test_weak_drive_is_weak_field_lorentzian(self, model):
         material, ensemble = model.material, model.ensemble
-        drive = drive_for(model, 1.1, stokes=1e-9)
+        drive = drive_for(model, stokes=1e-9)
         trace = synth_trace(1.1, drive, model, 0.0, 1)
         center = model.line_center(1.1)
         mode = PhononMode.in_material(material, center, "L")
@@ -71,7 +70,7 @@ class TestSelfConsistency:
         # with J evaluated from that same Gamma
         material, ensemble = model.material, model.ensemble
         for t in (1.1, 2.5, 4.1):
-            drive = drive_for(model, t)
+            drive = drive_for(model)
             point = solve_self_consistent(t, drive, model)
             center = model.line_center(t)
             mode = PhononMode.in_material(material, center, "L")
@@ -92,7 +91,7 @@ class TestSelfConsistency:
 
     def test_narrowing_follows_suppression_factor(self, model):
         material, ensemble = model.material, model.ensemble
-        drive = drive_for(model, 1.1)
+        drive = drive_for(model)
         point = solve_self_consistent(1.1, drive, model)
         center = model.line_center(1.1)
         mode = PhononMode.in_material(material, center, "L")
@@ -103,20 +102,20 @@ class TestSelfConsistency:
         assert point.gamma_total < weak + floor
 
     def test_zero_power_shortcut(self, model):
-        drive = drive_for(model, 1.1, pump=0.0, stokes=0.0)
+        drive = drive_for(model, pump=0.0, stokes=0.0)
         point = solve_self_consistent(1.1, drive, model)
         assert point.peak_intensity == 0.0
         assert point.iterations == 1
 
     def test_iteration_budget_enforced(self, model):
-        drive = drive_for(model, 1.1)
+        drive = drive_for(model)
         with pytest.raises(ConvergenceError):
             solve_self_consistent(1.1, drive, model, max_iter=2)
 
 
 class TestTrace:
     def test_deterministic_given_seed(self, model):
-        drive = drive_for(model, 1.3)
+        drive = drive_for(model)
         a = synth_trace(1.3, drive, model, 1e-9, 987654)
         b = synth_trace(1.3, drive, model, 1e-9, 987654)
         assert np.array_equal(a.gain, b.gain)
@@ -125,7 +124,7 @@ class TestTrace:
         assert not np.array_equal(a.gain, c.gain)
 
     def test_noise_is_additive_on_gain_only(self, model):
-        drive = drive_for(model, 1.3)
+        drive = drive_for(model)
         clean = synth_trace(1.3, drive, model, 0.0, 1)
         noisy = synth_trace(1.3, drive, model, 5e-10, 1)
         assert np.array_equal(clean.detuning_grid, noisy.detuning_grid)
@@ -133,7 +132,7 @@ class TestTrace:
         assert np.std(resid) == pytest.approx(5e-10, rel=0.15)
 
     def test_grid_shape_and_metadata(self, model):
-        drive = drive_for(model, 1.3)
+        drive = drive_for(model)
         trace = synth_trace(1.3, drive, model, 0.0, 7, timestamp_index=13,
                             setting_index=2)
         assert len(trace.detuning_grid) == 401
@@ -142,7 +141,7 @@ class TestTrace:
         assert trace.peak_intensity > 0.0
 
     def test_invalid_trace_rejected(self, model):
-        drive = drive_for(model, 1.3)
+        drive = drive_for(model)
         with pytest.raises(ValueError):
             BGSTrace(temperature=1.3, detuning_grid=np.array([2.0, 1.0]),
                      gain=np.array([0.0, 0.0]), drive=drive, seed=0,
@@ -182,6 +181,18 @@ class TestSweep:
         traces = synth_sweep(plan)
         assert [t.timestamp_index for t in traces] == list(range(len(traces)))
         assert len({t.seed for t in traces}) == len(traces)
+
+    def test_each_setting_has_one_drive(self, model):
+        # the drive is the power setting: built once, in power_settings order,
+        # and shared by every acquisition at that setting
+        settings = [(0.035, 0.55e-3), (0.035, 5.5e-5), (0.02, 5.5e-6)]
+        plan = SweepPlan(t_start=1.1, t_end=1.4, traces_per_100mk=2,
+                         power_settings=settings, noise_sigma=0.0, model=model)
+        assert [(d.pump_power, d.stokes_power) for d in plan.drives] == settings
+        _, acqs = plan_acquisitions(plan)
+        assert len(acqs) == 3 * len(settings) * 2
+        for acq in acqs:
+            assert acq.drive is plan.drives[acq.setting_index]
 
     def test_shared_grid_covers_every_rung(self, model):
         plan = SweepPlan(t_start=1.1, t_end=2.1, traces_per_100mk=1,
@@ -223,7 +234,7 @@ class TestSweep:
 
 class TestBinning:
     def test_single_trace_bin(self, model):
-        drive = drive_for(model, 1.32)
+        drive = drive_for(model)
         trace = synth_trace(1.32, drive, model, 0.0, 3)
         [(center, averaged, _)] = bin_traces([trace], 0.1)
         assert center == pytest.approx(1.35, abs=1e-12)
@@ -231,7 +242,7 @@ class TestBinning:
         assert averaged.temperature == trace.temperature
 
     def test_identical_traces_average_to_themselves(self, model):
-        drive = drive_for(model, 1.15)
+        drive = drive_for(model)
         # power-of-two counts average exactly; odd counts round one ulp
         traces = [synth_trace(1.15, drive, model, 0.0, s) for s in range(4)]
         [(_, averaged, _)] = bin_traces(traces, 0.1)
@@ -241,7 +252,7 @@ class TestBinning:
         assert np.allclose(averaged5.gain, traces[0].gain, rtol=1e-14, atol=0)
 
     def test_noise_averages_down(self, model):
-        drive = drive_for(model, 1.15)
+        drive = drive_for(model)
         sigma = 1e-9
         clean = synth_trace(1.15, drive, model, 0.0, 0)
         noisy = [synth_trace(1.15, drive, model, sigma, s) for s in range(100)]
@@ -250,9 +261,9 @@ class TestBinning:
         assert resid_sd == pytest.approx(sigma / 10.0, rel=0.10)
 
     def test_mismatched_grids_rejected(self, model):
-        d1 = drive_for(model, 1.15)
+        d1 = drive_for(model)
         t1 = synth_trace(1.15, d1, model, 0.0, 0)
-        t2 = synth_trace(1.45, drive_for(model, 1.45), model, 0.0, 1)
+        t2 = synth_trace(1.45, drive_for(model), model, 0.0, 1)
         with pytest.raises(ValueError, match="common detuning grid"):
             bin_traces([t1, t2], 0.1)
 
