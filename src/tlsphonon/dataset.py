@@ -12,6 +12,13 @@ Every number the program writes to a CSV, here and in ``fit``'s and
 ``model``'s tables, goes through :func:`format_rows` in its shortest
 round-trip form, and every JSON file through :func:`write_json`, so
 re-running an identical config produces byte-identical files.
+
+The row codec makes one flat pass each way. :func:`format_rows` dumps a
+table's row-major values as one flat orjson list and turns every width-th
+comma into a newline with one numpy pass over the bytes. The trace reader
+checks in one numpy pass that the separators alternate ``,`` and newline,
+then parses the values as one flat orjson list; a body it does not take
+goes to a line-at-a-time parser that reads any v1 layout.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import json
 import math
 import re
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import List
 
@@ -36,6 +44,7 @@ _HEADER_LINE = TRACE_HEADER.encode() + b"\n"
 _ROW_BYTES = b"0123456789.eE+-, \n"
 # JSON reads the integer -0 as +0, where float() keeps the sign
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.\deE])")
+_COMMA, _NEWLINE = b","[0], b"\n"[0]
 
 
 def trace_filename(index: int) -> str:
@@ -57,22 +66,37 @@ def format_rows(rows) -> bytes:
     exponents are unpadded (``1e-7``, ``1e16``) and values in [1e-5, 1e-4)
     are positional (``0.00003``). Ints in a list stay ints (``3``). NaN and
     +-inf are written ``nan``, ``inf`` and ``-inf``, never JSON's ``null``.
+    Rows must share one width of at least one value.
+
+    One flat orjson dump of the row-major values, then one numpy pass that
+    turns every width-th comma into a newline.
     """
     if isinstance(rows, np.ndarray):
         block = np.ascontiguousarray(rows, dtype=np.float64)
         if block.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {block.shape}")
-        finite = np.isfinite(block).all(axis=1)
+        shape, flat = block.shape, block.ravel()
+        finite = np.isfinite(flat)
+        bad = [] if finite.all() else np.flatnonzero(~finite.reshape(shape).all(axis=1))
     else:
         block = [list(row) for row in rows]
-        finite = np.array([all(map(math.isfinite, row)) for row in block], dtype=bool)
-    if not len(block):
+        widths = sorted({len(row) for row in block})
+        if len(widths) > 1:
+            raise ValueError(f"expected rows of one width, got widths {widths}")
+        shape = (len(block), widths[0] if block else 0)
+        flat = list(chain.from_iterable(block))
+        bad = [i for i, row in enumerate(block) if not all(map(math.isfinite, row))]
+    if not shape[0]:
         return b""
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]  # [[a,b],[c,d]]
-    if finite.all():
-        return text.replace(b"],[", b"\n") + b"\n"
-    lines = text.split(b"],[")
-    for i in np.flatnonzero(~finite):
+    if not shape[1]:
+        raise ValueError(f"expected at least one column, got shape {shape}")
+    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])  # a,b,c,d
+    chars = np.frombuffer(text, dtype=np.uint8)
+    chars[np.flatnonzero(chars == _COMMA)[shape[1] - 1::shape[1]]] = _NEWLINE
+    if not len(bad):
+        return bytes(text) + b"\n"
+    lines = bytes(text).split(b"\n")
+    for i in bad:
         lines[i] = b",".join(map(_token, block[i]))
     return b"\n".join(lines) + b"\n"
 
@@ -114,22 +138,32 @@ def write_trace(directory: Path, trace: BGSTrace) -> dict:
 def _parse_rows(data: bytes):
     """The (n, 2) value matrix of a trace CSV in format_rows' layout, else None.
 
-    One orjson parse of the whole body. Anything else a v1 reader takes
-    (``1.``, ``.5``, ``+1``, ``nan``, CRLF, blank lines) returns None and
-    goes to :func:`_parse_lines`, and so does a body that is not two numbers
-    a line, so a damaged file fails with that parser's message.
+    One numpy pass checks that the separators alternate ``,`` and newline,
+    so the body is two values a line, then one orjson parse of the values
+    as a flat list. Anything else a v1 reader takes (``1.``, ``.5``, ``+1``,
+    ``nan``, CRLF, blank lines) returns None and goes to
+    :func:`_parse_lines`, and so does a body that is not two numbers a line,
+    so a damaged file fails with that parser's message.
     """
     if not data.startswith(_HEADER_LINE):
         return None
     body = data[len(_HEADER_LINE):].rstrip()
     if body.translate(None, _ROW_BYTES) or _INTEGER_MINUS_ZERO.search(body):
         return None
-    try:
-        rows = np.array(orjson.loads(b"[[" + body.replace(b"\n", b"],[") + b"]]"),
-                        dtype=np.float64)
-    except ValueError:  # not JSON, a number past the double range, or ragged rows
+    chars = np.frombuffer(body, dtype=np.uint8)
+    commas = np.flatnonzero(chars == _COMMA)
+    newlines = np.flatnonzero(chars == _NEWLINE)
+    # two values a line: the separators alternate , \n , ... , so each newline
+    # sits between two commas
+    if (len(commas) != len(newlines) + 1 or (newlines < commas[:-1]).any()
+            or (newlines > commas[1:]).any()):
         return None
-    return rows if rows.ndim == 2 and rows.shape[1] == 2 else None
+    try:
+        values = np.array(orjson.loads(b"[" + body.replace(b"\n", b",") + b"]"),
+                          dtype=np.float64)
+    except ValueError:  # not JSON, or a number past the double range
+        return None
+    return values.reshape(-1, 2)
 
 
 def _parse_lines(text: str, path: Path):

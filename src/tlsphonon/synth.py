@@ -202,6 +202,39 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
+class Rung:
+    """What every acquisition at one temperature shares: the line center
+    [rad/s], the weak-drive resonant loss and the saturation floor of the
+    longitudinal mode there [1/s], and the critical intensity [W/m^2]."""
+
+    temperature: float
+    center: float
+    gamma_weak: float
+    floor: float
+    j_c: float
+
+    @classmethod
+    def at(cls, temperature: float, model: ForwardModel,
+           center: Optional[float] = None) -> "Rung":
+        material, ensemble = model.material, model.ensemble
+        if center is None:
+            center = model.line_center(temperature)
+        mode = PhononMode.in_material(material, center, "L")
+        return cls(
+            temperature=temperature,
+            center=center,
+            gamma_weak=gamma_res_weak(mode, temperature, material, ensemble),
+            floor=saturation_floor(temperature, material, ensemble),
+            j_c=model.j_c(temperature),
+        )
+
+    def grid(self, points: int = DEFAULT_POINTS, span: float = DEFAULT_SPAN_FWHM) -> np.ndarray:
+        """Detuning grid centered on the line, spanning +-span weak-drive linewidths."""
+        expected = self.gamma_weak + self.floor
+        return np.linspace(self.center - span * expected, self.center + span * expected, points)
+
+
+@dataclass(frozen=True)
 class OperatingPoint:
     """Converged self-consistent line-center state of one acquisition."""
 
@@ -228,16 +261,17 @@ def solve_self_consistent(
     is monotone, so plain iteration converges for physical parameters;
     failure to do so within ``max_iter`` raises :class:`ConvergenceError`.
     """
-    material, ensemble = model.material, model.ensemble
-    if center is None:
-        center = model.line_center(temperature)
-    mode = PhononMode.in_material(material, center, "L")
-    gamma_weak = gamma_res_weak(mode, temperature, material, ensemble)
-    floor = saturation_floor(temperature, material, ensemble)
-    j_c = model.j_c(temperature)
+    return _solve_at(Rung.at(temperature, model, center), drive, model.material,
+                     tol=tol, max_iter=max_iter)
 
+
+def _solve_at(rung: Rung, drive: OpticalDrive, material: MaterialParams, *,
+              tol: float = FIXED_POINT_TOL,
+              max_iter: int = FIXED_POINT_MAX_ITER) -> OperatingPoint:
+    """:func:`solve_self_consistent` at a rung whose shared quantities are known."""
+    gamma_weak, floor, j_c = rung.gamma_weak, rung.floor, rung.j_c
     # J_peak(Gamma) = coupling / Gamma^2, so coupling is J_peak at unit linewidth
-    coupling = peak_phonon_intensity(drive, center, 1.0, material)
+    coupling = peak_phonon_intensity(drive, rung.center, 1.0, material)
 
     gamma = gamma_weak + floor
     for iteration in range(1, max_iter + 1):
@@ -266,20 +300,6 @@ def _trace_seed(base_seed: int, timestamp_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def default_detuning_grid(
-    temperature: float,
-    model: ForwardModel,
-    points: int = DEFAULT_POINTS,
-    span: float = DEFAULT_SPAN_FWHM,
-) -> np.ndarray:
-    """Grid centered on the resonance, spanning +-span expected linewidths."""
-    center = model.line_center(temperature)
-    mode = PhononMode.in_material(model.material, center, "L")
-    expected = (gamma_res_weak(mode, temperature, model.material, model.ensemble)
-                + saturation_floor(temperature, model.material, model.ensemble))
-    return np.linspace(center - span * expected, center + span * expected, points)
-
-
 def synth_trace(
     temperature: float,
     drive: OpticalDrive,
@@ -299,17 +319,25 @@ def synth_trace(
     deviation ``noise_sigma`` [W] lands on the gain only. Bit-identical for
     identical arguments.
     """
+    rung = Rung.at(temperature, model)
     if detuning_grid is None:
-        detuning_grid = default_detuning_grid(temperature, model)
-    center = model.line_center(temperature)
-    point = solve_self_consistent(temperature, drive, model, center=center)
+        detuning_grid = rung.grid()
+    return _synth_at(rung, drive, model, noise_sigma, seed, detuning_grid,
+                     timestamp_index, setting_index)
+
+
+def _synth_at(rung: Rung, drive: OpticalDrive, model: ForwardModel, noise_sigma: float,
+              seed: int, detuning_grid: np.ndarray, timestamp_index: int,
+              setting_index: int) -> BGSTrace:
+    """:func:`synth_trace` at a rung whose shared quantities are known."""
+    point = _solve_at(rung, drive, model.material)
     g_b = g_b_at_linewidth(model.material, point.gamma_total)
-    gain = stokes_gain(drive, center, point.gamma_total, g_b, omega_im=detuning_grid)
+    gain = stokes_gain(drive, rung.center, point.gamma_total, g_b, omega_im=detuning_grid)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         gain = gain + rng.normal(0.0, noise_sigma, size=gain.shape)
     return BGSTrace(
-        temperature=temperature,
+        temperature=rung.temperature,
         detuning_grid=np.asarray(detuning_grid, dtype=float),
         gain=np.asarray(gain, dtype=float),
         drive=drive,
@@ -322,13 +350,18 @@ def synth_trace(
 
 @dataclass(frozen=True)
 class Acquisition:
-    """One planned trace: everything synth_trace needs."""
+    """One planned trace: everything synth_trace needs, with its rung's
+    shared quantities computed once for every acquisition at the rung."""
 
-    temperature: float
+    rung: Rung
     drive: OpticalDrive
     seed: int
     timestamp_index: int
     setting_index: int
+
+    @property
+    def temperature(self) -> float:
+        return self.rung.temperature
 
 
 def plan_acquisitions(plan: SweepPlan) -> Tuple[np.ndarray, List[Acquisition]]:
@@ -341,24 +374,23 @@ def plan_acquisitions(plan: SweepPlan) -> Tuple[np.ndarray, List[Acquisition]]:
     ``timestamp_index`` is the global ordinal and seeds each trace, so each
     trace depends only on its own acquisition, not on the order of evaluation.
     """
-    model = plan.model
-    rungs = plan.rung_temperatures()
+    rungs = [Rung.at(t, plan.model) for t in plan.rung_temperatures()]
 
     lo = math.inf
     hi = -math.inf
-    for t in rungs:
-        edges = default_detuning_grid(t, model, points=2, span=plan.detuning_span)
+    for rung in rungs:
+        edges = rung.grid(points=2, span=plan.detuning_span)
         lo = min(lo, edges[0])
         hi = max(hi, edges[-1])
     grid = np.linspace(lo, hi, plan.detuning_points)
 
     acquisitions = []
     ordinal = 0
-    for temperature in rungs:
+    for rung in rungs:
         for setting_index, drive in enumerate(plan.drives):
             for _ in range(plan.traces_per_100mk):
                 acquisitions.append(Acquisition(
-                    temperature=temperature,
+                    rung=rung,
                     drive=drive,
                     seed=_trace_seed(plan.base_seed, ordinal),
                     timestamp_index=ordinal,
@@ -369,12 +401,8 @@ def plan_acquisitions(plan: SweepPlan) -> Tuple[np.ndarray, List[Acquisition]]:
 
 
 def run_acquisition(acq: Acquisition, plan: SweepPlan, grid: np.ndarray) -> BGSTrace:
-    return synth_trace(
-        acq.temperature, acq.drive, plan.model, plan.noise_sigma, acq.seed,
-        detuning_grid=grid,
-        timestamp_index=acq.timestamp_index,
-        setting_index=acq.setting_index,
-    )
+    return _synth_at(acq.rung, acq.drive, plan.model, plan.noise_sigma, acq.seed, grid,
+                     acq.timestamp_index, acq.setting_index)
 
 
 def synth_sweep(plan: SweepPlan) -> List[BGSTrace]:

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,8 @@ from tlsphonon.config import (
     parse_config,
 )
 from tlsphonon.constants import TWO_PI
-from tlsphonon.dataset import format_rows, read_manifest, read_trace, write_spectrum, write_trace
+from tlsphonon.dataset import (_parse_lines, _parse_rows, format_rows, read_manifest, read_trace,
+                               write_spectrum, write_trace)
 from tlsphonon.dissipation import critical_intensity, decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import synth_sweep
@@ -233,6 +235,38 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+def nested_json_rows(rows) -> bytes:
+    """format_rows' layout as one nested JSON dump spells it, ``[[a,b],[c,d]]``
+    with ``],[`` made a newline and JSON's ``null`` respelled: the reference
+    the flat writer must match byte for byte."""
+    block = rows if isinstance(rows, np.ndarray) else [list(row) for row in rows]
+    if not len(block):
+        return b""
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    lines = []
+    for line, row in zip(text.split(b"],["), block):
+        lines.append(b",".join(tok if tok != b"null" else repr(float(v)).encode()
+                               for tok, v in zip(line.split(b","), row)))
+    return b"\n".join(lines) + b"\n"
+
+
+# bodies of trace CSVs over the bytes format_rows writes for finite values:
+# its own layout, lines of one to three tokens, and bytes at random
+ROW_ALPHABET = "0123456789.eE+-, \n"
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: orjson.dumps(v).decode()),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+)
+TOKENS = st.one_of(NUMBERS, st.text(alphabet="0123456789.eE+- ", max_size=6))
+ROW_BODIES = st.one_of(
+    st.lists(st.tuples(NUMBERS, NUMBERS).map(",".join), max_size=6).map("\n".join),
+    st.lists(st.lists(TOKENS, min_size=1, max_size=3).map(",".join), max_size=6)
+    .map("\n".join),
+    st.text(alphabet=ROW_ALPHABET, max_size=40),
+)
+
+
 class TestRowCodec:
     """format_rows writes shortest round-trip rows; read_trace reads every v1 layout."""
 
@@ -270,6 +304,50 @@ class TestRowCodec:
         rows = format_rows([[3, 1e-5, np.float64(2.5)], [0, np.nan, -np.inf]])
         assert rows == b"3,0.00001,2.5\n0,nan,-inf\n"
 
+    @given(matrix=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+                             elements=st.floats()))
+    @example(matrix=np.arange(33.0).reshape(3, 11) / 7)  # model.csv's width
+    @example(matrix=np.array([[1.0, np.nan], [np.inf, 2.0], [3.0, 4.0]]))
+    def test_matrix_rows_match_nested_json(self, matrix):
+        assert format_rows(matrix) == nested_json_rows(matrix)
+        # a strided view is written as its values
+        assert format_rows(np.asfortranarray(matrix)) == nested_json_rows(matrix)
+
+    @given(st.integers(1, 12).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 64 - 1), st.floats(),
+                           st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                           st.floats().map(np.float64)),
+                 min_size=width, max_size=width),
+        min_size=1, max_size=8)))
+    def test_list_rows_match_nested_json(self, rows):
+        assert format_rows(rows) == nested_json_rows(rows)
+
+    @pytest.mark.parametrize("rows, shape", [
+        (np.zeros((3, 0)), r"shape \(3, 0\)"),
+        ([[]], r"shape \(1, 0\)"),
+        ([[1.0, 2.0], [3.0]], r"widths \[1, 2\]"),
+        (np.zeros(4), r"shape \(4,\)"),
+    ], ids=["no-columns", "empty-row", "ragged", "one-dimensional"])
+    def test_shapeless_rows_are_rejected(self, rows, shape):
+        with pytest.raises(ValueError, match=shape):
+            format_rows(rows)
+
+    @given(ROW_BODIES)
+    @example("1,2\n3,4")
+    @example(" 1 ,2\n-0.0,18446744073709551617 \n")
+    @example("1,2,3\n4")
+    @example("1\n2,3,4")
+    @settings(max_examples=300)
+    def test_flat_reader_agrees_with_line_reader(self, body):
+        data = f"detuning_hz,gain_w\n{body}".encode()
+        rows = _parse_rows(data)
+        if rows is None:
+            return
+        det, gain = _parse_lines(data.decode(), Path("spectrum.csv"))
+        assert rows.shape == (len(det), 2)
+        assert np.array_equal(bits(rows[:, 0]), bits(det))
+        assert np.array_equal(bits(rows[:, 1]), bits(gain))
+
     def test_empty_spectrum_is_header_only(self, tmp_path):
         write_spectrum(tmp_path / "empty.csv", np.array([]), np.array([]))
         assert (tmp_path / "empty.csv").read_bytes() == b"detuning_hz,gain_w\n"
@@ -298,9 +376,13 @@ class TestRowCodec:
         ("1,null\n", "could not convert string to float: 'null'"),
         ('1,"2"\n', "could not convert string to float: '\"2\"'"),
         ("1,2\n3\n", "not enough values to unpack"),
+        # the right number of values, laid out raggedly
+        ("1,2,3\n4\n", "too many values to unpack"),
+        ("1\n2,3,4\n", "not enough values to unpack"),
         ("1,1e400\n", "gain samples must be finite"),
         ("1,nan\n", "gain samples must be finite"),
-    ], ids=["blank-line", "three-columns", "null", "quoted", "one-column", "overflow", "nan"])
+    ], ids=["blank-line", "three-columns", "null", "quoted", "one-column", "ragged-3-1",
+            "ragged-1-3", "overflow", "nan"])
     def test_damaged_rows_keep_their_errors(self, tmp_path, body, message):
         (tmp_path / ENTRY["file"]).write_text(f"detuning_hz,gain_w\n{body}")
         with pytest.raises(ValueError, match=message):

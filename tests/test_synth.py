@@ -194,6 +194,28 @@ class TestSweep:
         for acq in acqs:
             assert acq.drive is plan.drives[acq.setting_index]
 
+    def test_each_rung_is_computed_once(self, model, monkeypatch):
+        # line center, weak-drive loss, floor and J_c depend on the rung only:
+        # computed once per rung, they give the traces synth_trace makes alone
+        plan = SweepPlan(t_start=1.1, t_end=1.4, traces_per_100mk=2,
+                         power_settings=[(0.035, 0.55e-3), (0.035, 5.5e-6)],
+                         noise_sigma=1e-10, model=model, base_seed=3)
+        calls = []
+        line_center = ForwardModel.line_center
+        monkeypatch.setattr(ForwardModel, "line_center",
+                            lambda self, t: calls.append(t) or line_center(self, t))
+        traces = synth_sweep(plan)
+        assert calls == plan.rung_temperatures()
+        monkeypatch.undo()
+        grid, acqs = plan_acquisitions(plan)
+        assert len({id(acq.rung) for acq in acqs}) == len(plan.rung_temperatures())
+        for acq, trace in zip(acqs, traces):
+            alone = synth_trace(acq.temperature, acq.drive, model, plan.noise_sigma, acq.seed,
+                                detuning_grid=grid, timestamp_index=acq.timestamp_index,
+                                setting_index=acq.setting_index)
+            assert np.array_equal(trace.gain.view(np.uint64), alone.gain.view(np.uint64))
+            assert trace.peak_intensity == alone.peak_intensity
+
     def test_shared_grid_covers_every_rung(self, model):
         plan = SweepPlan(t_start=1.1, t_end=2.1, traces_per_100mk=1,
                          power_settings=[(0.035, 0.55e-3)], noise_sigma=0.0,
