@@ -427,7 +427,7 @@ def bin_traces(
         return []
     grid = traces[0].detuning_grid
     for tr in traces[1:]:
-        if not np.array_equal(tr.detuning_grid, grid):
+        if tr.detuning_grid is not grid and not np.array_equal(tr.detuning_grid, grid):
             raise ValueError("traces do not share a common detuning grid")
 
     bins = {}

@@ -1,13 +1,16 @@
 """Config validation, dataset round trips, CLI subcommands, determinism."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +29,12 @@ from tlsphonon.config import (
     parse_config,
 )
 from tlsphonon.constants import TWO_PI
-from tlsphonon.dataset import (_parse_lines, _parse_rows, format_rows, read_manifest, read_trace,
-                               write_spectrum, write_trace)
+from tlsphonon.dataset import (_parse_lines, _parse_rows, format_rows, load_dataset,
+                               read_manifest, read_trace, write_manifest, write_spectrum,
+                               write_trace)
 from tlsphonon.dissipation import critical_intensity, decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
-from tlsphonon.synth import synth_sweep
+from tlsphonon.synth import bin_traces, synth_sweep
 from tlsphonon.tls_core import DriveState, PhononMode
 
 
@@ -223,6 +227,62 @@ class TestDataset:
         path.write_text("wrongheader\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_trace(tmp_path, entry)
+
+    def test_traces_of_one_axis_share_one_read_only_grid(self, workspace):
+        _, _, data = workspace
+        loaded = load_dataset(data)
+        assert [err for _, _, err in loaded] == [None] * 48
+        grid = loaded[0][1].detuning_grid
+        assert all(trace.detuning_grid is grid for _, trace, _ in loaded)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+
+    def test_sign_of_a_zero_sample_keeps_a_trace_on_grid(self, tmp_path):
+        # bytes that differ only in -0.0 are two grid objects of one axis
+        [trace] = synth_sweep(parse_config(base_doc()).sweep_plan())[:1]
+        axis_hz = np.arange(len(trace.gain), dtype=float) - 200.0
+        signed = axis_hz.copy()
+        signed[200] = -0.0
+        traces = [dataclasses.replace(trace, detuning_grid=axis * TWO_PI, timestamp_index=i)
+                  for i, axis in enumerate((axis_hz, signed, axis_hz))]
+        write_manifest(tmp_path, [write_trace(tmp_path, tr) for tr in traces], {}, "", "")
+        loaded = load_dataset(tmp_path)
+        assert [err for _, _, err in loaded] == [None] * 3
+        grids = [tr.detuning_grid for _, tr, _ in loaded]
+        assert grids[0] is grids[2] and grids[1] is not grids[0]
+        assert np.signbit(grids[1][200]) and not np.signbit(grids[0][200])
+        [(_, averaged, n)] = bin_traces([tr for _, tr, _ in loaded], 0.1)
+        assert n == 3 and averaged.detuning_grid is grids[0]
+
+    def test_truncated_axis_is_off_grid(self, workspace, tmp_path):
+        _, _, data = workspace
+        broken = tmp_path / "broken"
+        shutil.copytree(data, broken)
+        victim = read_manifest(broken)["traces"][3]
+        path = broken / victim["file"]
+        path.write_text("".join(f"{line}\n" for line in path.read_text().splitlines()[:-1]))
+        errors = [err for _, _, err in load_dataset(broken) if err is not None]
+        assert errors == [f"trace {victim['file']}: ValueError: detuning grid differs from the "
+                          f"one shared by most traces of power setting "
+                          f"{victim['setting_index']}"]
+
+    def test_load_holds_one_grid_per_axis(self, tmp_path):
+        # a grid per trace, and a byte copy of each for the off-grid vote, put
+        # the peak over 3x the gain bytes; one grid per axis keeps it under 2x
+        doc = base_doc()
+        doc["synth"]["traces_per_100mk"] = 6
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(data)]) == 0
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gain_bytes = sum(trace.gain.nbytes for _, trace, _ in loaded)
+        assert len(loaded) == 144 and peak < 2.0 * gain_bytes
 
 
 ENTRY = {"file": "spectrum.csv", "temperature_k": 1.2, "pump_w": 0.035, "probe_w": 0.001,
@@ -606,7 +666,6 @@ class TestCliSynthFit:
         assert tree_digest(out1) == tree_digest(out2)
 
     def test_corrupted_trace_is_flagged_not_fatal(self, workspace, tmp_path):
-        import shutil
         tmp, config_path, data = workspace
         broken = tmp_path / "broken"
         shutil.copytree(data, broken)
@@ -623,7 +682,6 @@ class TestCliSynthFit:
 
     @pytest.mark.parametrize("fault", [*TRACE_FAULTS, *ENTRY_FAULTS])
     def test_damaged_trace_is_recorded_and_skipped(self, workspace, tmp_path, capsys, fault):
-        import shutil
         tmp, config_path, data = workspace
         broken = tmp_path / "broken"
         shutil.copytree(data, broken)
@@ -659,7 +717,6 @@ class TestCliSynthFit:
         """Fit a copy of ``data`` in which the traces of ``settings`` are left
         out of the manifest or, given ``shift_hz``, have their detuning axis
         shifted by it; returns the exit code and the report."""
-        import shutil
         broken = tmp_path / "broken"
         shutil.copytree(data, broken)
         manifest = read_manifest(broken)
@@ -842,8 +899,12 @@ class TestFailureContract:
     # the values of the first per-temperature row that the report table shows
     ROW_KEYS = ("temperature_k", "j_c_w_m2", "t1_t2_s2", "t1_s", "t2_s")
 
+    # manifests whose traces are not a list
+    TRACES_NOT_A_LIST = {"manifest-traces-null": None, "manifest-traces-string": "abc",
+                         "manifest-traces-object": {}}
+
     @pytest.mark.parametrize("case", ["report-without-config", "manifest-without-traces",
-                                      "manifest-without-config",
+                                      "manifest-without-config", *TRACES_NOT_A_LIST,
                                       *(f"report-row-without-{key}" for key in ROW_KEYS)])
     def test_missing_json_key_names_file_and_key(self, tmp_path, capsys, case):
         if case == "report-without-config":
@@ -855,6 +916,11 @@ class TestFailureContract:
             (tmp_path / "report.json").write_text(json.dumps(
                 {"config": base_doc(), "per_temperature": [row]}))
             argv, name = ["report", "--out", str(tmp_path)], "report.json"
+        elif case in self.TRACES_NOT_A_LIST:
+            (tmp_path / "manifest.json").write_text(json.dumps(
+                {"config": base_doc(), "traces": self.TRACES_NOT_A_LIST[case]}))
+            key = "traces"
+            argv, name = ["fit", str(tmp_path), "--out", str(tmp_path / "fit")], "manifest.json"
         else:
             doc = ({"config": base_doc()} if case == "manifest-without-traces"
                    else {"traces": []})
