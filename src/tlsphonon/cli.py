@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,13 +46,19 @@ def _csv_head(header, config: RunConfig) -> bytes:
 # grid parsing for `model`
 # ---------------------------------------------------------------------------
 
+GRID_DIMS = ("T", "J", "f")
+MAX_GRID_ROWS = 4_000_000  # at ~190 bytes a row, model stays under ~1 GB
+
+
 def parse_grid(spec: str) -> dict:
     """Parse 'T=0.3:4.2:25,J=1e-3:1e3:25:log,f=9.188e9' into value arrays.
 
     Each dimension is either a single value or lo:hi:n with an optional
-    :log for logarithmic spacing. Required keys: T [K], J [W/m^2], f [Hz].
+    :log for logarithmic spacing. T [K], J [W/m^2] and f [Hz] are each given
+    once; a grid of more than MAX_GRID_ROWS points is rejected before any
+    axis is allocated.
     """
-    dims = {}
+    axes = {}  # name -> (lo, hi, n, log)
     if not spec:
         raise CliError("empty grid spec")
     for part in spec.split(","):
@@ -59,31 +66,32 @@ def parse_grid(spec: str) -> dict:
             raise CliError(f"grid dimension {part!r} is not name=values")
         name, values = part.split("=", 1)
         name = name.strip()
+        if name not in GRID_DIMS or name in axes:
+            raise CliError(f"grid dimension {name!r}: give each of T, J and f once")
         pieces = values.split(":")
         if len(pieces) == 1:
-            arr = np.array([float(pieces[0])])
-        elif len(pieces) in (3, 4):
-            lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
-            if n < 1:
-                raise CliError(f"grid dimension {name}: need at least one point")
-            log = len(pieces) == 4
-            if log and pieces[3] != "log":
-                raise CliError(f"grid dimension {name}: unknown modifier {pieces[3]!r}")
-            if n == 1:
-                arr = np.array([lo])
-            elif log:
-                if lo <= 0 or hi <= 0:
-                    raise CliError(f"grid dimension {name}: log spacing needs positive bounds")
-                arr = np.geomspace(lo, hi, n)
-            else:
-                arr = np.linspace(lo, hi, n)
-        else:
+            axes[name] = (float(pieces[0]), None, 1, False)
+            continue
+        if len(pieces) not in (3, 4):
             raise CliError(f"grid dimension {name!r}: expected value or lo:hi:n[:log]")
-        dims[name] = arr
+        lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        if n < 1:
+            raise CliError(f"grid dimension {name}: need at least one point")
+        log = len(pieces) == 4
+        if log and pieces[3] != "log":
+            raise CliError(f"grid dimension {name}: unknown modifier {pieces[3]!r}")
+        if log and n > 1 and (lo <= 0 or hi <= 0):
+            raise CliError(f"grid dimension {name}: log spacing needs positive bounds")
+        axes[name] = (lo, hi, n, log)
 
-    missing = {"T", "J", "f"} - set(dims)
+    missing = set(GRID_DIMS) - set(axes)
     if missing:
         raise CliError(f"grid is missing dimensions: {sorted(missing)}")
+    rows = math.prod(n for _, _, n, _ in axes.values())
+    if rows > MAX_GRID_ROWS:
+        raise CliError(f"grid has {rows} points, more than {MAX_GRID_ROWS}")
+    dims = {name: (np.geomspace if log else np.linspace)(lo, hi, n) if n > 1
+            else np.array([lo]) for name, (lo, hi, n, log) in axes.items()}
     if np.any(dims["T"] <= 0):
         raise CliError("grid temperatures must be positive")
     if np.any(dims["f"] <= 0):

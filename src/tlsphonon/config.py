@@ -4,9 +4,11 @@ A run is fully described by one JSON document -- material, ensemble, the
 critical-intensity source, the sweep plan, and the base seed. No state
 comes from the environment or the wall clock, so identical configs produce
 identical outputs. Frequencies in config files and all emitted files are
-ordinary Hz; the conversion to angular frequency happens exactly once here.
-Each range is checked once, by the value type the number goes into; only
-the seed and the ``fit`` numbers, which go into none, are checked here.
+ordinary Hz and angular inside; each file boundary converts its own: this
+module the config's, :mod:`tlsphonon.dataset` a trace's detuning axis and
+pump frequency, and the ``fit`` and ``model`` writers their results. Each
+range is checked once, by the value type the number goes into; only the
+seed and the ``fit`` numbers, which go into none, are checked here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from .bloch import RelaxationTimes
 from .constants import EV, TWO_PI
-from .synth import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, ForwardModel, SweepPlan
+from .synth import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, RUNG_STEP_K, ForwardModel, SweepPlan
 from .tls_core import MaterialParams, TLSEnsemble, get_preset, preset_names
 
 # (required keys, optional keys) of each object in a config document
@@ -36,7 +38,9 @@ _JC_SOURCE_KEYS = {
 _SYNTH_KEYS = (("t_start_k", "t_end_k", "traces_per_100mk", "power_settings_w",
                 "noise_sigma_w"),
                ("detuning_points", "detuning_span_fwhm", "pump_wavelength_m", "center_drift"))
-_FIT_KEYS = ((), ("bin_width_k", "shared_p_gamma2", "t0_k", "weighted"))
+# fit keys' values when omitted; no t0_k anchors the drift at the first bin
+FIT_DEFAULTS = {"bin_width_k": RUNG_STEP_K, "shared_p_gamma2": True, "weighted": False}
+_FIT_KEYS = ((), (*FIT_DEFAULTS, "t0_k"))
 
 
 def _invalid(path: str, requirement: str, value) -> ValueError:
@@ -102,7 +106,8 @@ class RunConfig:
         return config_sha256(self.raw)
 
     def fit_section(self) -> dict:
-        return self.raw.get("fit", {})
+        """The ``fit`` section, with :data:`FIT_DEFAULTS` for the keys it omits."""
+        return {**FIT_DEFAULTS, **self.raw.get("fit", {})}
 
     def forward_model(self) -> ForwardModel:
         synth = self.raw.get("synth", {})
@@ -194,9 +199,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise _invalid("seed", "must be >= 0", seed)
     if "synth" in doc:
         _section(doc["synth"], "synth", _SYNTH_KEYS)
-    fit = _section(doc.get("fit", {}), "fit", _FIT_KEYS)
+    fit = {**FIT_DEFAULTS, **_section(doc.get("fit", {}), "fit", _FIT_KEYS)}
     for key in ("shared_p_gamma2", "weighted"):
-        _boolean(fit, f"fit.{key}", False)
+        _boolean(fit, f"fit.{key}")
     for key in ("bin_width_k", "t0_k"):
         if key in fit and not 0.0 < _number(fit, f"fit.{key}") < math.inf:
             raise _invalid(f"fit.{key}", "must be finite and > 0", fit[key])

@@ -348,7 +348,6 @@ def total_linewidth(
     material: MaterialParams,
     ensemble: TLSEnsemble,
     *,
-    times: Optional[RelaxationTimes] = None,
     j_c: Optional[float] = None,
     t_ref: Optional[float] = None,
 ) -> LinewidthBreakdown:
@@ -356,9 +355,9 @@ def total_linewidth(
     element-wise over a grid of them when ``drive`` holds arrays.
 
     total = gamma_res(J) + gamma_rel(T) + gamma_bg. The critical intensity
-    comes from exactly one source: an explicit ``j_c``, explicit ``times``,
-    or the ensemble's power law, checked in that order. ``t_ref`` selects the
-    reference temperature of the reported frequency shift (0.0 if omitted).
+    is ``j_c`` (a run's comes from ``ForwardModel.j_c``), else the ensemble's
+    power law. ``t_ref`` selects the reference temperature of the reported
+    frequency shift (0.0 if omitted).
 
     Saturates toward the floor gamma_rel + gamma_bg as J -> infinity.
     """
@@ -370,7 +369,7 @@ def total_linewidth(
             stacklevel=2,
         )
     if j_c is None:
-        j_c = critical_intensity(material, t, times=times, ensemble=ensemble,
+        j_c = critical_intensity(material, t, ensemble=ensemble,
                                  polarization=mode.polarization)
     res = gamma_res_strong(mode, t, drive.intensity, j_c, material, ensemble)
     rel = gamma_rel_closed(t, mode.polarization, material, ensemble)

@@ -51,6 +51,8 @@ from .tls_core import MaterialParams, PhononMode, TLSEnsemble, min_lifetime
 
 MAX_FIT_EVALS = 500
 XTOL = 1e-10  # relative step length at which a fit has converged
+MIN_SATURATION_POINTS = 5  # intensity points of one saturation fit
+MIN_TEMPERATURES = 3  # points of the power law and the offset decomposition
 
 
 class FitError(RuntimeError):
@@ -333,15 +335,6 @@ def saturation_rate(j, p_gamma2, j_c, gamma0, mode: PhononMode,
                             material, _coupling(p_gamma2)) + gamma0
 
 
-def _check_saturation_points(j):
-    if len(j) < 5:
-        raise FitError(f"saturation fit needs >= 5 intensity points, got {len(j)}")
-    if np.any(j <= 0.0):
-        raise FitError("saturation fit needs strictly positive intensities")
-    if j.max() / j.min() < 10.0:
-        raise FitError("saturation fit needs intensities spanning at least one decade")
-
-
 def _warn_if_flat(j, j_c_hat, temperature):
     if j.max() < 0.1 * j_c_hat or j.min() > 10.0 * j_c_hat:
         warnings.warn(
@@ -447,7 +440,14 @@ def fit_saturation(
     entirely in the unsaturated (or fully saturated) regime cannot pin J_c;
     that case completes but emits a flat-direction warning.
     """
-    _check_saturation_points(np.asarray(points, dtype=float)[:, 0])
+    j = np.asarray(points, dtype=float)[:, 0]
+    if len(j) < MIN_SATURATION_POINTS:
+        raise FitError(f"saturation fit needs >= {MIN_SATURATION_POINTS} intensity points, "
+                       f"got {len(j)}")
+    if np.any(j <= 0.0):
+        raise FitError("saturation fit needs strictly positive intensities")
+    if j.max() / j.min() < 10.0:
+        raise FitError("saturation fit needs intensities spanning at least one decade")
     per_bin, _ = _solve_saturation(
         [(temperature, mode, points)], material,
         None if sigmas is None else [sigmas], MAX_FIT_EVALS)
@@ -487,6 +487,13 @@ def fit_saturation_shared(
 # power law, offset decomposition, times
 # ---------------------------------------------------------------------------
 
+def _linear_fit(design: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(coefficients, covariance) of the linear least squares design @ c = y."""
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    # a linear fit's Jacobian is its design matrix
+    return coef, _covariance_from_jacobian(design, y - design @ coef)
+
+
 def fit_powerlaw(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
     """Fit J_c = a T^b by linear least squares in (ln T, ln J_c).
 
@@ -494,16 +501,12 @@ def fit_powerlaw(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
     invariant under reordering of the points.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) < 3:
-        raise FitError(f"power-law fit needs >= 3 points, got {len(pts)}")
+    if len(pts) < MIN_TEMPERATURES:
+        raise FitError(f"power-law fit needs >= {MIN_TEMPERATURES} points, got {len(pts)}")
     if np.any(pts <= 0.0):
         raise FitError("power-law fit needs positive temperatures and intensities")
-    lt = np.log(pts[:, 0])
-    lj = np.log(pts[:, 1])
-    design = np.column_stack([np.ones_like(lt), lt])
-    coef, *_ = np.linalg.lstsq(design, lj, rcond=None)
-    # a linear fit's Jacobian is its design matrix
-    cov_log = _covariance_from_jacobian(design, lj - design @ coef)
+    lt, lj = np.log(pts).T
+    coef, cov_log = _linear_fit(np.column_stack([np.ones_like(lt), lt]), lj)
     a = math.exp(coef[0])
     jac = np.diag([a, 1.0])  # (ln a, b) -> (a, b)
     return PowerLawFit(a=a, b=float(coef[1]), covariance=jac @ cov_log @ jac.T)
@@ -522,13 +525,11 @@ def fit_gamma0_decomposition(
     potential and the bare spectral density.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) < 3:
-        raise FitError(f"offset decomposition needs >= 3 points, got {len(pts)}")
+    if len(pts) < MIN_TEMPERATURES:
+        raise FitError(f"offset decomposition needs >= {MIN_TEMPERATURES} points, "
+                       f"got {len(pts)}")
     t3 = pts[:, 0] ** 3
-    g0 = pts[:, 1]
-    design = np.column_stack([t3, np.ones_like(t3)])
-    coef, *_ = np.linalg.lstsq(design, g0, rcond=None)
-    cov = _covariance_from_jacobian(design, g0 - design @ coef)
+    coef, cov = _linear_fit(np.column_stack([t3, np.ones_like(t3)]), pts[:, 1])
     coeff_t3, gamma_bg = float(coef[0]), float(coef[1])
     if coeff_t3 <= 0.0:
         raise FitError("offset decomposition found a nonpositive cubic term; "
@@ -574,19 +575,17 @@ def compare_freq_shift(
     fits: Sequence[Tuple[float, LorentzianFit]],
     t0: float,
     material: MaterialParams,
-    ensemble: TLSEnsemble,
     *,
-    p_gamma2: Optional[float] = None,
+    p_gamma2: float,
     p_gamma2_sigma: float = 0.0,
 ) -> List[FreqShiftRow]:
     """Measured center drift vs the resonant-absorption prediction.
 
     The fit whose temperature is closest to ``t0`` anchors both columns, so
-    the reference row reads (0, 0) exactly. The prediction uses the supplied
-    coupling product (typically the saturation-stage fit; falls back to the
-    ensemble's P gamma_L^2) in :func:`~tlsphonon.dissipation.freq_shift_res`
-    at the reference center frequency; its covariance propagates into the
-    per-row uncertainty together with the measured center uncertainties.
+    the reference row reads (0, 0) exactly. The prediction uses the coupling
+    product ``p_gamma2`` in :func:`~tlsphonon.dissipation.freq_shift_res` at
+    the reference center frequency; its sigma propagates into the per-row
+    uncertainty together with the measured center uncertainties.
     """
     if not fits:
         raise FitError("no fits to compare")
@@ -595,8 +594,6 @@ def compare_freq_shift(
         raise FitError(f"fits do not span the reference temperature {t0} K")
     ref_idx = int(np.argmin(np.abs(temps - t0)))
     t_ref, ref = fits[ref_idx]
-    if p_gamma2 is None:
-        p_gamma2 = ensemble.p * ensemble.gamma_l ** 2
     if not p_gamma2 > 0:
         raise FitError(f"coupling product P gamma^2 must be positive, got {p_gamma2}")
 

@@ -24,6 +24,8 @@ from .config import RunConfig
 from .constants import EV, TWO_PI
 from .dataset import require_key
 from .fitting import (
+    MIN_SATURATION_POINTS,
+    MIN_TEMPERATURES,
     FitError,
     LorentzianFit,
     SaturationFit,
@@ -38,9 +40,6 @@ from .fitting import (
 from .sbs import peak_phonon_intensity
 from .synth import BGSTrace, bin_traces
 from .tls_core import PhononMode
-
-MIN_SATURATION_SETTINGS = 5
-DEFAULT_BIN_WIDTH_K = 0.1
 
 # the report's row tables and their columns, in CSV order
 TABLE_COLUMNS = {
@@ -141,7 +140,7 @@ def _saturation_inputs(fitted: List[FitUnit], config: RunConfig):
     center_of = attrgetter("center")
     for _, group in groupby(sorted(fitted, key=center_of), center_of):
         units = list(group)
-        if len(units) < MIN_SATURATION_SETTINGS:
+        if len(units) < MIN_SATURATION_POINTS:
             continue
         omega_mean = float(np.mean([u.fit.omega_hat for u in units]))
         bins.append((
@@ -160,7 +159,7 @@ def _saturation_stage(bins, sigmas, config: RunConfig, shared: bool,
     was made) and its sigma. A failing per-bin fit is noted and skipped."""
     if not bins:
         notes.append(
-            f"saturation stage skipped: fewer than {MIN_SATURATION_SETTINGS} "
+            f"saturation stage skipped: fewer than {MIN_SATURATION_POINTS} "
             "power settings per temperature bin"
         )
         return [], None, 0.0
@@ -186,11 +185,11 @@ def _saturation_stage(bins, sigmas, config: RunConfig, shared: bool,
 
 
 def _powerlaw_stage(saturation: List[SaturationFit], config: RunConfig,
-                    p_gamma2: Optional[float], notes: List[str]):
+                    p_gamma2: float, notes: List[str]):
     """J_c power law and offset decomposition; either is None when not fitted."""
     powerlaw = None
     decomposition = None
-    if len(saturation) >= 3:
+    if len(saturation) >= MIN_TEMPERATURES:
         try:
             powerlaw = fit_powerlaw([(s.temperature, s.j_c) for s in saturation])
         except FitError as exc:
@@ -198,10 +197,7 @@ def _powerlaw_stage(saturation: List[SaturationFit], config: RunConfig,
         try:
             decomposition = fit_gamma0_decomposition(
                 [(s.temperature, s.gamma0) for s in saturation],
-                config.material,
-                p_gamma2 if p_gamma2 is not None else
-                config.ensemble.p * config.ensemble.gamma_l ** 2,
-            )
+                config.material, p_gamma2)
         except FitError as exc:
             notes.append(f"offset decomposition failed: {exc}")
     elif saturation:
@@ -227,7 +223,7 @@ def _times_stage(saturation: List[Tuple[SaturationFit, PhononMode]], decompositi
     return rows
 
 
-def _shift_stage(fitted: List[FitUnit], config: RunConfig, p_gamma2: Optional[float],
+def _shift_stage(fitted: List[FitUnit], config: RunConfig, p_gamma2: float,
                  p_gamma2_sigma: float, notes: List[str]) -> List[dict]:
     """Measured against predicted line-center drift, from one power setting."""
     # the least saturated setting tracks the bare line most closely
@@ -238,10 +234,8 @@ def _shift_stage(fitted: List[FitUnit], config: RunConfig, p_gamma2: Optional[fl
     t0 = float(config.fit_section().get("t0_k", reference[0].trace.temperature))
     try:
         rows = compare_freq_shift(
-            [(u.trace.temperature, u.fit) for u in reference], t0,
-            config.material, config.ensemble,
-            p_gamma2=p_gamma2, p_gamma2_sigma=p_gamma2_sigma,
-        )
+            [(u.trace.temperature, u.fit) for u in reference], t0, config.material,
+            p_gamma2=p_gamma2, p_gamma2_sigma=p_gamma2_sigma)
     except FitError as exc:
         notes.append(f"frequency-shift stage failed: {exc}")
         return []
@@ -280,11 +274,10 @@ def run_fit_pipeline(
     and decomposition, times, frequency drift, global block. ``fit.weighted``
     weights each saturation point by its Lorentzian linewidth sigma."""
     fit_cfg = config.fit_section()
-    weighted = bool(fit_cfg.get("weighted", False))
     errors: List[str] = list(load_errors or [])
     notes: List[str] = []
 
-    units = _bin_stage(traces, float(fit_cfg.get("bin_width_k", DEFAULT_BIN_WIDTH_K)))
+    units = _bin_stage(traces, float(fit_cfg["bin_width_k"]))
     fitted = _lorentz_stage(units, config, errors)
     report = {
         "version": __version__,
@@ -303,14 +296,17 @@ def run_fit_pipeline(
         return result
 
     bins, sigmas = _saturation_inputs(fitted, config)
-    saturation, p_gamma2, p_gamma2_sigma = _saturation_stage(
-        bins, sigmas if weighted else None, config,
-        bool(fit_cfg.get("shared_p_gamma2", True)), notes)
+    saturation, fitted_p_gamma2, p_gamma2_sigma = _saturation_stage(
+        bins, sigmas if fit_cfg["weighted"] else None, config, fit_cfg["shared_p_gamma2"],
+        notes)
+    # no saturation fit: the later stages take the configured coupling product
+    p_gamma2 = (config.ensemble.p * config.ensemble.gamma_l ** 2 if fitted_p_gamma2 is None
+                else fitted_p_gamma2)
     powerlaw, decomposition = _powerlaw_stage([sat for sat, _ in saturation], config,
                                               p_gamma2, notes)
     report["per_temperature"] = _times_stage(saturation, decomposition, config)
     report["freq_shift"] = _shift_stage(fitted, config, p_gamma2, p_gamma2_sigma, notes)
-    report["global"] = _global_block(p_gamma2, p_gamma2_sigma, powerlaw, decomposition)
+    report["global"] = _global_block(fitted_p_gamma2, p_gamma2_sigma, powerlaw, decomposition)
     return result
 
 

@@ -59,10 +59,10 @@ class ConvergenceError(RuntimeError):
 class ForwardModel:
     """Everything the synthesizer and ``model`` need to evaluate the physics.
 
-    :meth:`j_c` picks the critical-intensity source in the order
-    :func:`~tlsphonon.dissipation.total_linewidth` documents: an explicit
-    ``j_c_explicit``, else :func:`~tlsphonon.dissipation.critical_intensity`
-    from relaxation ``times`` or the ensemble's power law.
+    :meth:`j_c` is the one place that picks the critical-intensity source:
+    an explicit ``j_c_explicit``, else
+    :func:`~tlsphonon.dissipation.critical_intensity` from relaxation
+    ``times`` or the ensemble's power law, in that order.
     ``drift_reference_k`` turns on the resonant frequency drift of the line
     center relative to that temperature.
     """
@@ -250,7 +250,6 @@ def solve_self_consistent(
     model: ForwardModel,
     *,
     center: Optional[float] = None,
-    tol: float = FIXED_POINT_TOL,
     max_iter: int = FIXED_POINT_MAX_ITER,
 ) -> OperatingPoint:
     """Solve the coupled (linewidth, intensity) fixed point at line center.
@@ -262,11 +261,10 @@ def solve_self_consistent(
     failure to do so within ``max_iter`` raises :class:`ConvergenceError`.
     """
     return _solve_at(Rung.at(temperature, model, center), drive, model.material,
-                     tol=tol, max_iter=max_iter)
+                     max_iter=max_iter)
 
 
 def _solve_at(rung: Rung, drive: OpticalDrive, material: MaterialParams, *,
-              tol: float = FIXED_POINT_TOL,
               max_iter: int = FIXED_POINT_MAX_ITER) -> OperatingPoint:
     """:func:`solve_self_consistent` at a rung whose shared quantities are known."""
     gamma_weak, floor, j_c = rung.gamma_weak, rung.floor, rung.j_c
@@ -279,7 +277,7 @@ def _solve_at(rung: Rung, drive: OpticalDrive, material: MaterialParams, *,
         new_gamma = gamma_weak / suppression_factor(j_peak, j_c) + floor
         residual = abs(new_gamma - gamma) / new_gamma
         gamma = new_gamma
-        if residual < tol:
+        if residual < FIXED_POINT_TOL:
             break
     else:
         raise ConvergenceError(
@@ -320,37 +318,14 @@ def synth_trace(
     identical arguments.
     """
     rung = Rung.at(temperature, model)
-    if detuning_grid is None:
-        detuning_grid = rung.grid()
-    return _synth_at(rung, drive, model, noise_sigma, seed, detuning_grid,
-                     timestamp_index, setting_index)
-
-
-def _synth_at(rung: Rung, drive: OpticalDrive, model: ForwardModel, noise_sigma: float,
-              seed: int, detuning_grid: np.ndarray, timestamp_index: int,
-              setting_index: int) -> BGSTrace:
-    """:func:`synth_trace` at a rung whose shared quantities are known."""
-    point = _solve_at(rung, drive, model.material)
-    g_b = g_b_at_linewidth(model.material, point.gamma_total)
-    gain = stokes_gain(drive, rung.center, point.gamma_total, g_b, omega_im=detuning_grid)
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        gain = gain + rng.normal(0.0, noise_sigma, size=gain.shape)
-    return BGSTrace(
-        temperature=rung.temperature,
-        detuning_grid=np.asarray(detuning_grid, dtype=float),
-        gain=np.asarray(gain, dtype=float),
-        drive=drive,
-        seed=int(seed),
-        timestamp_index=timestamp_index,
-        setting_index=setting_index,
-        peak_intensity=point.peak_intensity,
-    )
+    acq = Acquisition(rung, drive, seed, timestamp_index, setting_index)
+    return run_acquisition(acq, model, noise_sigma,
+                           rung.grid() if detuning_grid is None else detuning_grid)
 
 
 @dataclass(frozen=True)
 class Acquisition:
-    """One planned trace: everything synth_trace needs, with its rung's
+    """One planned trace: everything run_acquisition needs, with its rung's
     shared quantities computed once for every acquisition at the rung."""
 
     rung: Rung
@@ -400,15 +375,32 @@ def plan_acquisitions(plan: SweepPlan) -> Tuple[np.ndarray, List[Acquisition]]:
     return grid, acquisitions
 
 
-def run_acquisition(acq: Acquisition, plan: SweepPlan, grid: np.ndarray) -> BGSTrace:
-    return _synth_at(acq.rung, acq.drive, plan.model, plan.noise_sigma, acq.seed, grid,
-                     acq.timestamp_index, acq.setting_index)
+def run_acquisition(acq: Acquisition, model: ForwardModel, noise_sigma: float,
+                    grid: np.ndarray) -> BGSTrace:
+    """The trace of one acquisition on detuning ``grid``; every trace is built here."""
+    rung, drive = acq.rung, acq.drive
+    point = _solve_at(rung, drive, model.material)
+    g_b = g_b_at_linewidth(model.material, point.gamma_total)
+    gain = stokes_gain(drive, rung.center, point.gamma_total, g_b, omega_im=grid)
+    if noise_sigma > 0.0:
+        rng = np.random.default_rng(acq.seed)
+        gain = gain + rng.normal(0.0, noise_sigma, size=gain.shape)
+    return BGSTrace(
+        temperature=rung.temperature,
+        detuning_grid=grid,
+        gain=gain,
+        drive=drive,
+        seed=int(acq.seed),
+        timestamp_index=acq.timestamp_index,
+        setting_index=acq.setting_index,
+        peak_intensity=point.peak_intensity,
+    )
 
 
 def synth_sweep(plan: SweepPlan) -> List[BGSTrace]:
     """Run the full warm-up campaign described by ``plan``."""
     grid, acquisitions = plan_acquisitions(plan)
-    return [run_acquisition(acq, plan, grid) for acq in acquisitions]
+    return [run_acquisition(acq, plan.model, plan.noise_sigma, grid) for acq in acquisitions]
 
 
 def bin_traces(
@@ -420,7 +412,8 @@ def bin_traces(
     mismatched grids are rejected. Returns (bin center, averaged trace,
     number of member traces) sorted by bin center, empty bins omitted. The
     averaged trace carries the mean member temperature and mean peak
-    intensity; drive and indices come from the first member.
+    intensity; drive and indices come from the first member. A lone member
+    is its own mean, so its bin shares its gain array.
     """
     _require_positive(bin_width=bin_width)
     if not traces:
@@ -439,8 +432,8 @@ def bin_traces(
     out = []
     for idx in sorted(bins):
         members = bins[idx]
-        gain = np.mean([m.gain for m in members], axis=0)
         first = members[0]
+        gain = first.gain if len(members) == 1 else np.mean([m.gain for m in members], axis=0)
         averaged = BGSTrace(
             temperature=float(np.mean([m.temperature for m in members])),
             detuning_grid=grid,

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tlsphonon
-from tlsphonon.cli import MODEL_COLUMNS, main, parse_grid, CliError
+from tlsphonon.cli import MAX_GRID_ROWS, MODEL_COLUMNS, main, parse_grid, CliError
 from tlsphonon.config import (
     canonical_json,
     config_sha256,
@@ -32,7 +32,7 @@ from tlsphonon.constants import TWO_PI
 from tlsphonon.dataset import (_parse_lines, _parse_rows, format_rows, load_dataset,
                                read_manifest, read_trace, write_manifest, write_spectrum,
                                write_trace)
-from tlsphonon.dissipation import critical_intensity, decay_length, q_factor, total_linewidth
+from tlsphonon.dissipation import decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import bin_traces, synth_sweep
 from tlsphonon.tls_core import DriveState, PhononMode
@@ -199,6 +199,17 @@ class TestConfig:
         doc = base_doc(material=INLINE_MATERIAL)
         config = parse_config(doc)
         assert config.material.gamma_ref == pytest.approx(TWO_PI * 30e6)
+
+    def test_fit_defaults_fill_the_section_but_not_raw(self):
+        doc = base_doc()
+        del doc["fit"]
+        config = parse_config(doc)
+        assert config.fit_section() == {"bin_width_k": 0.1, "shared_p_gamma2": True,
+                                        "weighted": False}
+        assert "fit" not in config.raw and config.sha256 == config_sha256(doc)
+        doc["fit"] = {"weighted": True, "t0_k": 1.2}
+        assert parse_config(doc).fit_section() == {"bin_width_k": 0.1, "shared_p_gamma2": True,
+                                                   "weighted": True, "t0_k": 1.2}
 
     def test_hash_is_order_insensitive(self):
         doc = base_doc()
@@ -467,6 +478,9 @@ class TestGridParsing:
             parse_grid("T=1:4:3,J=-1,f=9e9")
         with pytest.raises(CliError):
             parse_grid("T=1:4:0,J=1,f=9e9")
+        # counted before any axis is allocated
+        with pytest.raises(CliError, match=f"^grid has 4002000 points, more than {MAX_GRID_ROWS}$"):
+            parse_grid("T=1:4:2000,J=1:2:2001,f=9e9")
 
 
 class TestCliModel:
@@ -515,11 +529,7 @@ class TestCliModel:
         for f, t, j in itertools.product(dims["f"], dims["T"], dims["J"]):
             t, j, f = float(t), float(j), float(f)
             mode = PhononMode.in_material(config.material, TWO_PI * f, "L")
-            if config.j_c_explicit is not None:
-                j_c = config.j_c_explicit
-            else:
-                j_c = critical_intensity(config.material, t, times=config.times,
-                                         ensemble=config.ensemble)
+            j_c = config.forward_model().j_c(t)
             bd = total_linewidth(mode, DriveState(temperature=t, intensity=j,
                                                   drive_omega=mode.omega),
                                  config.material, config.ensemble, j_c=j_c, t_ref=1.6)
@@ -549,8 +559,12 @@ class TestCliModel:
             assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
     @pytest.mark.parametrize("grid", ["T=0:1:2,J=1,f=1",
-                                      "T=nan:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"],
-                             ids=["zero-temperature", "nan-temperature"])
+                                      "T=nan:4.2:3,J=1e-2:1e2:3:log,f=9.188e9",
+                                      "T=1.1:4.2:3,J=1,f=9e9,F=1e9",
+                                      "T=1.1,T=2.0,J=1,f=9e9",
+                                      "T=1.1:4.2:10000000000000,J=1,f=9.188e9"],
+                             ids=["zero-temperature", "nan-temperature", "unknown-dimension",
+                                  "repeated-dimension", "oversized"])
     def test_bad_grid_exit_code(self, tmp_path, capsys, grid):
         config_path = write_config(tmp_path, base_doc())
         assert main(["model", "--config", str(config_path),
@@ -1029,5 +1043,13 @@ class TestPipelineOptions:
         assert result.report["per_temperature"] == []
         assert any("saturation stage skipped" in n
                    for n in result.report["notes"])
-        # frequency-shift comparison still runs off the single setting
+        # frequency-shift comparison still runs off the single setting, and
+        # its prediction takes the configured coupling product
         assert result.report["freq_shift"]
+        assert "p_gamma2_j_m3" not in result.report["global"]
+        doubled = dataclasses.replace(
+            config, ensemble=dataclasses.replace(config.ensemble, p=2.0 * config.ensemble.p))
+        rows = run_fit_pipeline(traces, doubled).report["freq_shift"]
+        for row, row2 in zip(result.report["freq_shift"], rows, strict=True):
+            assert row2["predicted_shift_hz"] == pytest.approx(2.0 * row["predicted_shift_hz"],
+                                                               rel=1e-12)

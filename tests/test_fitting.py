@@ -321,8 +321,7 @@ class TestFreqShiftComparison:
     def test_closed_loop(self, ge_doped):
         material, ensemble = ge_doped
         temps = [1.15, 1.45, 2.05, 3.05, 4.15]
-        rows = compare_freq_shift(self.drifted_fits(ge_doped, temps), 1.15,
-                                  material, ensemble,
+        rows = compare_freq_shift(self.drifted_fits(ge_doped, temps), 1.15, material,
                                   p_gamma2=ensemble.p * ensemble.gamma_l ** 2)
         for row in rows:
             # centers were generated with the very model being compared
@@ -330,8 +329,8 @@ class TestFreqShiftComparison:
 
     def test_reference_row_is_exactly_zero(self, ge_doped):
         material, ensemble = ge_doped
-        rows = compare_freq_shift(self.drifted_fits(ge_doped, [1.15, 2.05]),
-                                  1.15, material, ensemble)
+        rows = compare_freq_shift(self.drifted_fits(ge_doped, [1.15, 2.05]), 1.15, material,
+                                  p_gamma2=ensemble.p * ensemble.gamma_l ** 2)
         assert rows[0].measured == 0.0
         assert rows[0].predicted == 0.0
 
@@ -342,22 +341,23 @@ class TestFreqShiftComparison:
         fits = [(t, LorentzianFit(omega_hat=OMEGA, gamma_hat=GAMMA, peak_hat=PEAK,
                                   covariance=cov, residual_norm=0.0))
                 for t in temps]
-        rows = compare_freq_shift(fits, 1.15, material, ensemble)
+        rows = compare_freq_shift(fits, 1.15, material,
+                                  p_gamma2=ensemble.p * ensemble.gamma_l ** 2)
         preds = [r.predicted for r in rows]
         assert all(a < b for a, b in zip(preds, preds[1:]))
 
     def test_span_precondition(self, ge_doped):
         material, ensemble = ge_doped
         with pytest.raises(FitError, match="span"):
-            compare_freq_shift(self.drifted_fits(ge_doped, [2.0, 3.0]), 1.0,
-                               material, ensemble)
+            compare_freq_shift(self.drifted_fits(ge_doped, [2.0, 3.0]), 1.0, material,
+                               p_gamma2=ensemble.p * ensemble.gamma_l ** 2)
 
     @pytest.mark.parametrize("p_gamma2", [0.0, -1.0, float("nan")])
     def test_nonpositive_coupling_is_a_fit_error(self, ge_doped, p_gamma2):
         material, ensemble = ge_doped
         with pytest.raises(FitError, match="positive"):
-            compare_freq_shift(self.drifted_fits(ge_doped, [1.15, 2.05]), 1.15,
-                               material, ensemble, p_gamma2=p_gamma2)
+            compare_freq_shift(self.drifted_fits(ge_doped, [1.15, 2.05]), 1.15, material,
+                               p_gamma2=p_gamma2)
 
 
 class TestForwardInverseAgreement:
@@ -396,7 +396,7 @@ class TestForwardInverseAgreement:
         fits = [(temp, LorentzianFit(omega_hat=OMEGA, gamma_hat=GAMMA, peak_hat=PEAK,
                                      covariance=cov, residual_norm=0.0))
                 for temp in (0.5, t, 5.0)]
-        rows = compare_freq_shift(fits, t0, material, ensemble, p_gamma2=p_gamma2)
+        rows = compare_freq_shift(fits, t0, material, p_gamma2=p_gamma2)
         t_ref = min((0.5, t, 5.0), key=lambda temp: abs(temp - t0))
         for row in rows:
             pull = freq_shift_res(mode, row.temperature, 1.0, material, ensemble)

@@ -1,0 +1,50 @@
+"""The README's library example runs as written; no module keeps an unused import."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tlsphonon"
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    # the last line compares the closed form with the ensemble integral
+    ratio = float(out.getvalue().splitlines()[-1])
+    assert abs(ratio - 1.0) < 1e-6
+
+
+def unused_imports(source: str):
+    """Names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    # __init__.py is skipped: its imports are the package's re-exports
+    assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_found():
+    source = "import math\nfrom os import path, sep\nfrom . import x as y\nprint(sep, y)\n"
+    assert unused_imports(source) == [(1, "math"), (2, "path")]

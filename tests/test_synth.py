@@ -33,7 +33,7 @@ def model(ge_doped):
 
 
 def test_explicit_j_c_takes_precedence_over_times(ge_doped):
-    # one order everywhere: an explicit J_c wins, as in total_linewidth
+    # ForwardModel.j_c alone picks the source: an explicit J_c wins over times
     material, ensemble = ge_doped
     times = RelaxationTimes(t1=1e-7, t2=1e-9)
     model = ForwardModel(material=material, ensemble=ensemble, times=times, j_c_explicit=4.0)
@@ -41,7 +41,7 @@ def test_explicit_j_c_takes_precedence_over_times(ge_doped):
     mode = PhononMode.in_material(material, TWO_PI * 9.188e9, "L")
     drive = DriveState(temperature=1.1, intensity=3.0, drive_omega=mode.omega)
     assert (total_linewidth(mode, drive, material, ensemble, j_c=model.j_c(1.1))
-            == total_linewidth(mode, drive, material, ensemble, times=times, j_c=4.0))
+            == total_linewidth(mode, drive, material, ensemble, j_c=4.0))
 
 
 def drive_for(model, pump=0.035, stokes=0.55e-3):
@@ -262,6 +262,18 @@ class TestBinning:
         assert center == pytest.approx(1.35, abs=1e-12)
         assert np.array_equal(averaged.gain, trace.gain)
         assert averaged.temperature == trace.temperature
+
+    def test_lone_member_shares_its_gain(self, model):
+        # a lone member is its own mean, so its bin holds no copy of it
+        drive = drive_for(model)
+        lone = synth_trace(1.12, drive, model, 1e-9, 0)
+        pair = [synth_trace(1.25, drive, model, 1e-9, s, detuning_grid=lone.detuning_grid)
+                for s in (1, 2)]
+        [(_, single, n_single), (_, double, n_double)] = bin_traces([lone, *pair], 0.1)
+        assert (n_single, n_double) == (1, 2)
+        assert single.gain is lone.gain
+        assert double.gain is not pair[0].gain
+        assert np.array_equal(double.gain, (pair[0].gain + pair[1].gain) / 2.0)
 
     def test_identical_traces_average_to_themselves(self, model):
         drive = drive_for(model)
