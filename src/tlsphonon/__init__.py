@@ -7,26 +7,15 @@ recovers the tunneling-state parameters from them.
 
 __version__ = "0.1.0"
 
-from .bloch import (
-    BlochSolution,
-    RelaxationTimes,
-    bloch_steady_state,
-    saturated_inversion,
-    strain_amplitude_from_intensity,
-    tls_susceptibility,
-)
 from .dissipation import (
     LinewidthBreakdown,
     critical_intensity,
     decay_length,
     freq_shift_res,
     gamma_rel_closed,
-    gamma_rel_integral_oracle,
-    gamma_res_integral_oracle,
     gamma_res_strong,
     gamma_res_weak,
     q_factor,
-    rayleigh_floor,
     suppression_factor,
     total_linewidth,
 )
@@ -43,18 +32,11 @@ from .fitting import (
     fit_saturation,
     fit_saturation_shared,
 )
-from .numerics import (
-    QuadratureError,
-    QuadratureResult,
-    digamma_half_plus_imag,
-    quad2d_adaptive,
-    quad_adaptive,
-)
+from .numerics import digamma_half_plus_imag
 from .sbs import (
     OpticalDrive,
     brillouin_frequency,
     g_b_at_linewidth,
-    phase_match_residual,
     phonon_intensity,
     stokes_gain,
     weak_signal_margin,
@@ -72,14 +54,12 @@ from .tls_core import (
     DriveState,
     MaterialParams,
     PhononMode,
+    RelaxationTimes,
     TLSEnsemble,
     TLSState,
-    equilibrium_inversion,
     get_preset,
     golden_rule_rate,
     min_lifetime,
     preset_names,
-    tls_eigenvectors,
     tls_energy,
-    tls_transition_rates,
 )

@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bloch import RelaxationTimes
 from .constants import EV, TWO_PI
 from .synth import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, RUNG_STEP_K, ForwardModel, SweepPlan
-from .tls_core import MaterialParams, TLSEnsemble, get_preset, preset_names
+from .tls_core import MaterialParams, RelaxationTimes, TLSEnsemble, get_preset, preset_names
 
 # (required keys, optional keys) of each object in a config document
 _TOP_KEYS = (("material", "ensemble", "jc_source", "seed"), ("synth", "fit"))

@@ -3,9 +3,9 @@
 Closed forms for the three loss channels of an acoustic mode in glass --
 saturable resonant absorption by tunneling states, their relaxational
 (thermal re-equilibration) absorption, and a constant background -- plus the
-resonant frequency pull. Every closed form has an integral twin evaluated by
-adaptive quadrature over the TLS distribution, so the analytic reductions
-are checkable at runtime rather than trusted.
+resonant frequency pull. The integral twins that check the absorption closed
+forms by quadrature over the TLS distribution are in
+:mod:`tlsphonon.oracles`.
 
 All rates are angular FWHM-type quantities in rad/s: the Lorentzian response
 of a mode with dissipation rate Gamma has full width Gamma at half maximum.
@@ -18,29 +18,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .bloch import RelaxationTimes
 from .constants import HBAR, KB
-from .numerics import (
-    coth,
-    digamma_half_plus_imag,
-    quad2d_adaptive,
-    quad_adaptive,
-    sech_squared,
-    unit_lorentzian,
-)
+from .numerics import digamma_half_plus_imag
 from .tls_core import (
     DriveState,
     MaterialParams,
     PhononMode,
+    RelaxationTimes,
     TLSEnsemble,
-    _rate_prefactor,
     _require_positive,
     channel_sum,
-    min_lifetime,
 )
 
 # Resonant/relaxation absorption is a low-temperature theory; above this the
@@ -142,67 +133,6 @@ def suppression_factor(intensity, j_c):
     return np.sqrt(1.0 + intensity / j_c)
 
 
-def gamma_res_integral_oracle(
-    mode: PhononMode,
-    temperature: float,
-    intensity: float,
-    times: RelaxationTimes,
-    material: MaterialParams,
-    ensemble: TLSEnsemble,
-    *,
-    rtol: float = 1e-8,
-    e_max: Optional[float] = None,
-    resonant_only: bool = False,
-) -> float:
-    """Resonant absorption by direct integration over the TLS splitting [rad/s].
-
-    Evaluates
-        (P gamma^2 Omega / (hbar rho v^2)) *
-        Integral_0^Emax dE  T2 tanh(E/2kT) (L_d - L_s) / (1 + s (L_d + L_s))
-    with L_d, L_s the unit Lorentzians in the co-/counter-rotating detunings
-    and s = J/J_c the saturation parameter. The strain coupling is taken at
-    the distribution peak delta0 -> E. No omega*T2 >> 1 assumption is made;
-    with ``resonant_only`` the counter-rotating terms are dropped, which is
-    the approximation behind the closed form.
-
-    The default truncation E_max = max(40 kT, hbar omega + 20 hbar w / T2)
-    (w the power-broadened half-width factor) is caller-overridable.
-    Raises :class:`~tlsphonon.numerics.QuadratureError` on non-convergence.
-    """
-    _require_positive(temperature=temperature)
-    if intensity < 0.0:
-        raise ValueError("intensity must be >= 0")
-    omega = mode.omega
-    t2 = times.t2
-    j_c = critical_intensity(material, temperature, times=times,
-                             ensemble=ensemble, polarization=mode.polarization)
-    s = intensity / j_c
-    broadening = float(suppression_factor(intensity, j_c))
-
-    if e_max is None:
-        e_max = max(40.0 * KB * temperature, HBAR * omega + 20.0 * HBAR * broadening / t2)
-
-    two_kt = 2.0 * KB * temperature
-
-    def integrand(energy: float) -> float:
-        l_d = unit_lorentzian((energy / HBAR - omega) * t2)
-        l_s = 0.0 if resonant_only else unit_lorentzian((energy / HBAR + omega) * t2)
-        return (t2 * math.tanh(energy / two_kt) * (l_d - l_s)
-                / (1.0 + s * (l_d + l_s)))
-
-    # The resonance is a spike of relative width ~1/(omega T2); QUADPACK needs
-    # explicit break points there or it can miss it entirely.
-    peak = HBAR * omega
-    half_width = HBAR * broadening / t2
-    points = sorted({
-        min(max(p, 0.0), e_max)
-        for p in (peak - 10.0 * half_width, peak, peak + 10.0 * half_width)
-    })
-    result = quad_adaptive(integrand, 0.0, e_max, rtol=rtol, points=points)
-    return (shift_scale(mode, material, ensemble) / HBAR
-            * result.checked("resonant-absorption integral"))
-
-
 def shift_bracket(omega: float, temperature: float) -> float:
     """ln x - Re psi(1/2 + i x / 2 pi) with x = hbar Omega / k_B T.
 
@@ -267,69 +197,6 @@ def saturation_floor(
     return gamma_rel_closed(temperature, "L", material, ensemble) + ensemble.gamma_bg
 
 
-def gamma_rel_integral_oracle(
-    temperature: float,
-    material: MaterialParams,
-    ensemble: TLSEnsemble,
-    *,
-    polarization: str = "L",
-    rtol: float = 1e-8,
-    e_max: Optional[float] = None,
-    delta0_min: Optional[float] = None,
-) -> float:
-    """Relaxation absorption by 2-D quadrature over the TLS distribution [rad/s].
-
-    Evaluates
-        (P gamma^2 / rho v^2 k_B T) *
-        Integral dDelta dDelta0 (Delta^2 / Delta0 E^2) (1/tau) sech^2(E/2kT)
-    with the golden-rule rate for 1/tau, integrating Delta0 in log
-    coordinates (the 1/Delta0 density cancels against the measure, and the
-    rate's Delta0^2 kills any divergence). Agreement with
-    :func:`gamma_rel_closed` validates the analytic angular (1/3) and
-    thermal-energy integrals behind the closed form.
-    """
-    _require_positive(temperature=temperature)
-    kt = KB * temperature
-    if e_max is None:
-        e_max = 40.0 * kt
-    if delta0_min is None:
-        delta0_min = 1e-9 * e_max  # omitted mass scales as (delta0_min/kT)^2
-
-    gamma = ensemble.deformation_potential(polarization)
-    v = material.sound_speed(polarization)
-    rate_k = _rate_prefactor(material, ensemble)
-    prefactor = ensemble.p * gamma ** 2 / (material.rho * v ** 2 * kt)
-    two_kt = 2.0 * kt
-
-    def integrand(log_delta0: float, delta: float) -> float:
-        delta0 = math.exp(log_delta0)
-        energy = math.hypot(delta, delta0)
-        rate = rate_k * energy * delta0 ** 2 * coth(energy / two_kt)
-        # log-substitution Jacobian delta0 cancels the 1/delta0 density
-        return delta ** 2 / energy ** 2 * rate * sech_squared(energy / two_kt)
-
-    result = quad2d_adaptive(
-        integrand,
-        (math.log(delta0_min), math.log(e_max)),
-        (0.0, e_max),
-        rtol=rtol,
-    )
-    return prefactor * result.checked("relaxation-absorption integral")
-
-
-def rayleigh_floor(omega: float, reference: Tuple[float, float]) -> float:
-    """Rayleigh-scattering rate extrapolated from a reference point [rad/s].
-
-    Elastic scattering from frozen-in disorder scales as frequency^4:
-    Gamma_R = Gamma_ref * (omega / Omega_ref)^4. A diagnostic helper for
-    bounding the background floor; it is deliberately not a term of
-    total_linewidth, where the background stays a fitted constant.
-    """
-    omega_ref, gamma_ref = reference
-    _require_positive(omega=omega, omega_ref=omega_ref, gamma_ref=gamma_ref)
-    return gamma_ref * (omega / omega_ref) ** 4
-
-
 def q_factor(omega: float, gamma: float) -> float:
     """Acoustic quality factor Omega / Gamma."""
     _require_positive(omega=omega, gamma=gamma)
@@ -384,19 +251,3 @@ def total_linewidth(
         total=res + rel + bg,
         freq_shift_res=shift,
     )
-
-
-def minimum_lifetime_times(
-    mode: PhononMode,
-    temperature: float,
-    material: MaterialParams,
-    ensemble: TLSEnsemble,
-    t2: float,
-) -> RelaxationTimes:
-    """RelaxationTimes with T1 set to the minimum TLS lifetime at E = hbar Omega.
-
-    The TLS density as a function of lifetime is sharply peaked at tau_min,
-    so tau_min is the working estimate for T1 wherever only T2 is known.
-    """
-    t1 = min_lifetime(HBAR * mode.omega, material, ensemble, temperature)
-    return RelaxationTimes(t1=t1, t2=t2)

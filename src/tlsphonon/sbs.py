@@ -60,19 +60,6 @@ def brillouin_frequency(
     return 2.0 * material.n_eff * v * pump_omega / C_LIGHT
 
 
-def phase_match_residual(omega_p, omega_s, omega_ac, k_p, k_s, q):
-    """Energy and momentum mismatch of a backward-SBS triple.
-
-    Returns (omega_p - omega_s - omega_ac [rad/s], k_p + k_s - q [1/m]);
-    both vanish iff the pump, the counter-propagating Stokes field, and the
-    co-propagating acoustic wave are phase matched.
-    """
-    for name, val in (("omega_p", omega_p), ("omega_s", omega_s),
-                      ("omega_ac", omega_ac), ("k_p", k_p), ("k_s", k_s), ("q", q)):
-        _require_positive(**{name: val})
-    return omega_p - omega_s - omega_ac, k_p + k_s - q
-
-
 def lorentzian_profile(omega_im, center: float, gamma: float):
     """Unit-peak Lorentzian (Gamma/2)^2 / ((center - omega_im)^2 + (Gamma/2)^2)."""
     return unit_lorentzian((center - np.asarray(omega_im, dtype=float)) / (gamma / 2.0))

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bloch import RelaxationTimes
 from .constants import C_LIGHT, TWO_PI
 from .dissipation import (
     critical_intensity,
@@ -39,7 +38,13 @@ from .sbs import (
     peak_phonon_intensity,
     stokes_gain,
 )
-from .tls_core import MaterialParams, PhononMode, TLSEnsemble, _require_positive
+from .tls_core import (
+    MaterialParams,
+    PhononMode,
+    RelaxationTimes,
+    TLSEnsemble,
+    _require_positive,
+)
 
 RUNG_STEP_K = 0.1          # the acquisition protocol is phrased per 100 mK
 MAX_RUNGS = 10_000

@@ -6,8 +6,10 @@ system (TLS) with asymmetry ``delta``, tunneling energy ``delta0``, and
 level splitting E = sqrt(delta^2 + delta0^2); an ensemble of them, with the
 standard flat distribution in (delta, ln delta0), couples to elastic strain
 and absorbs or emits phonons. This module holds the value types shared by
-the whole package and the single-TLS quantities: eigenstates, thermal
-population inversion, and the one-phonon decay rate.
+the whole package and the single-TLS quantities the closed forms use: the
+level splitting, the one-phonon decay rate and the minimum lifetime. The
+eigenstates, thermal inversion and level-resolved rates, which only the
+checks use, are in :mod:`tlsphonon.oracles`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .constants import EV, HBAR, KB, TWO_PI
-from .numerics import bose_occupation, coth
+from .numerics import coth
 
 _POLARIZATIONS = ("L", "T")
 
@@ -195,6 +197,17 @@ class DriveState:
             raise ValueError("intensity must be finite and >= 0")
 
 
+@dataclass(frozen=True)
+class RelaxationTimes:
+    """Inversion lifetime T1 and dephasing time T2 of the resonant TLSs [s]."""
+
+    t1: float
+    t2: float
+
+    def __post_init__(self):
+        _require_positive(t1=self.t1, t2=self.t2)
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -202,42 +215,6 @@ class DriveState:
 def tls_energy(state: TLSState) -> float:
     """Level splitting E = sqrt(delta^2 + delta0^2) [J]."""
     return math.hypot(state.delta, state.delta0)
-
-
-def tls_eigenvectors(state: TLSState) -> Tuple[np.ndarray, np.ndarray]:
-    """Energy eigenstates of the bare double well in the left/right basis.
-
-    Returns (excited, ground), each a length-2 unit vector of real
-    amplitudes ordered (c_L, c_R). The ground state localizes in the lower
-    well as |delta| >> delta0; at delta = 0 both states are equal-weight
-    superpositions.
-    """
-    delta, delta0 = state.delta, state.delta0
-    if delta0 <= 0.0:
-        raise ValueError("delta0 = 0 leaves the well basis degenerate")
-    e = tls_energy(state)
-    # e + |delta| is the well-conditioned combination; e - |delta| can lose
-    # all precision when delta0 << |delta|.
-    big = math.sqrt((e + abs(delta)) / (2.0 * e))
-    small = delta0 / math.sqrt(2.0 * e * (e + abs(delta)))
-    if delta >= 0.0:
-        excited = np.array([small, big])
-        ground = np.array([big, -small])
-    else:
-        excited = np.array([big, small])
-        ground = np.array([small, -big])
-    return excited, ground
-
-
-def equilibrium_inversion(energy: float, temperature: float) -> float:
-    """Thermal population inversion P_e - P_g = -tanh(E / 2 k_B T).
-
-    Approaches -1 as T -> 0 (all TLSs condensed to the ground state) and 0
-    as T -> infinity. math.tanh saturates without overflow, so arbitrarily
-    large E / k_B T is safe.
-    """
-    _require_positive(temperature=temperature)
-    return -math.tanh(energy / (2.0 * KB * temperature))
 
 
 def channel_sum(material: MaterialParams, ensemble: TLSEnsemble) -> float:
@@ -270,25 +247,6 @@ def golden_rule_rate(
     e = tls_energy(state)
     return (_rate_prefactor(material, ensemble) * e * state.delta0 ** 2
             * coth(e / (2.0 * KB * temperature)))
-
-
-def tls_transition_rates(
-    state: TLSState,
-    material: MaterialParams,
-    ensemble: TLSEnsemble,
-    temperature: float,
-) -> Tuple[float, float]:
-    """(upward, downward) golden-rule rates between the TLS levels [1/s].
-
-    The upward rate carries the thermal occupation n(E), the downward rate
-    n(E) + 1; their sum is golden_rule_rate and their ratio obeys detailed
-    balance exp(-E / k_B T).
-    """
-    _require_positive(temperature=temperature)
-    e = tls_energy(state)
-    base = _rate_prefactor(material, ensemble) * e * state.delta0 ** 2
-    n = bose_occupation(e / (KB * temperature))
-    return base * n, base * (n + 1.0)
 
 
 def min_lifetime(

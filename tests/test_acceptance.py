@@ -16,12 +16,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from tlsphonon.bloch import (
-    RelaxationTimes,
-    bloch_steady_state,
-    saturated_inversion,
-    strain_amplitude_from_intensity,
-)
 from tlsphonon.cli import main
 from tlsphonon.config import parse_config
 from tlsphonon.constants import EV, HBAR, TWO_PI
@@ -29,18 +23,31 @@ from tlsphonon.dissipation import (
     critical_intensity,
     decay_length,
     gamma_rel_closed,
-    gamma_rel_integral_oracle,
-    gamma_res_integral_oracle,
     gamma_res_strong,
     gamma_res_weak,
-    minimum_lifetime_times,
     q_factor,
 )
-from tlsphonon.numerics import digamma_half_plus_imag, quad_adaptive
+from tlsphonon.numerics import digamma_half_plus_imag
+from tlsphonon.oracles import (
+    bloch_steady_state,
+    equilibrium_inversion,
+    gamma_rel_integral_oracle,
+    gamma_res_integral_oracle,
+    quad_adaptive,
+    saturated_inversion,
+    strain_amplitude_from_intensity,
+)
 from tlsphonon.pipeline import run_fit_pipeline
 from tlsphonon.sbs import g_b_at_linewidth
 from tlsphonon.synth import solve_self_consistent, synth_sweep
-from tlsphonon.tls_core import DriveState, TLSState, get_preset, golden_rule_rate
+from tlsphonon.tls_core import (
+    DriveState,
+    RelaxationTimes,
+    TLSState,
+    get_preset,
+    golden_rule_rate,
+    min_lifetime,
+)
 
 OMEGA = TWO_PI * 9.188e9
 
@@ -106,8 +113,8 @@ def test_criterion_02_resonant_oracle_grid(ge_doped, probe_mode):
     material, ensemble = ge_doped
     worst = 0.0
     for t in np.linspace(0.3, 4.2, 10):
-        times = minimum_lifetime_times(probe_mode, float(t), material, ensemble,
-                                       t2=1e3 / OMEGA)
+        t1 = min_lifetime(HBAR * probe_mode.omega, material, ensemble, float(t))
+        times = RelaxationTimes(t1=t1, t2=1e3 / OMEGA)
         j_c = critical_intensity(material, float(t), times=times,
                                  ensemble=ensemble)
         for ratio in [0.0] + list(np.geomspace(0.01, 100.0, 9)):
@@ -119,8 +126,8 @@ def test_criterion_02_resonant_oracle_grid(ge_doped, probe_mode):
             worst = max(worst, abs(oracle / closed - 1.0))
     grid_ok = worst < 0.01
 
-    times10 = minimum_lifetime_times(probe_mode, 1.1, material, ensemble,
-                                     t2=10.0 / OMEGA)
+    t1 = min_lifetime(HBAR * probe_mode.omega, material, ensemble, 1.1)
+    times10 = RelaxationTimes(t1=t1, t2=10.0 / OMEGA)
     breakdown = abs(
         gamma_res_integral_oracle(probe_mode, 1.1, 0.0, times10, material,
                                   ensemble)
@@ -176,7 +183,6 @@ def test_criterion_04_bloch_consistency(ge_doped):
     xi = strain_amplitude_from_intensity(j_c, material, "L")
     drive = DriveState(temperature=1.1, intensity=j_c, drive_omega=OMEGA)
     sol = bloch_steady_state(HBAR * OMEGA, drive, times, ensemble.gamma_l, xi)
-    from tlsphonon.tls_core import equilibrium_inversion
     half_dev = abs(sol.s_z / equilibrium_inversion(HBAR * OMEGA, 1.1) - 0.5) / 0.5
     half_ok = half_dev < omega_t2 ** -2
     ok = draws_ok and half_ok

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsphonon.bloch import (
-    RelaxationTimes,
+from tlsphonon.constants import HBAR, TWO_PI
+from tlsphonon.dissipation import critical_intensity
+from tlsphonon.oracles import (
     bloch_residuals,
     bloch_steady_state,
+    equilibrium_inversion,
     saturated_inversion,
     strain_amplitude_from_intensity,
     tls_susceptibility,
 )
-from tlsphonon.constants import HBAR, TWO_PI
-from tlsphonon.dissipation import critical_intensity
-from tlsphonon.tls_core import DriveState, equilibrium_inversion
+from tlsphonon.tls_core import DriveState, RelaxationTimes
 
 OMEGA = TWO_PI * 9.188e9
 E_RES = HBAR * OMEGA

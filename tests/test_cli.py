@@ -811,11 +811,12 @@ class TestCliSynthFit:
         # Importing scipy.special, scipy.optimize or scipy.integrate costs
         # ~0.3 s each, and no command needs any scipy module: the fits have
         # their own solver, the frequency shift its own digamma, and only the
-        # quadrature oracles integrate. The commands cover each path that
-        # reaches the digamma or skips it: a model grid without and one with
-        # fit.t0_k, a synth without and one with center drift, report, and
-        # fit on the drifting dataset. config checks keys and types itself,
-        # so nothing loads jsonschema either.
+        # quadrature of tlsphonon.oracles integrates, so no command loads that
+        # module either. The commands cover each path that reaches the
+        # digamma or skips it: a model grid without and one with fit.t0_k, a
+        # synth without and one with center drift, report, and fit on the
+        # drifting dataset. config checks keys and types itself, so nothing
+        # loads jsonschema either.
         tmp, config_path, data = workspace
         assert main(["fit", str(data), "--out", str(tmp_path / "fit")]) == 0
         steady = tmp_path / "steady.json"
@@ -827,7 +828,8 @@ class TestCliSynthFit:
             "from tlsphonon.cli import main\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules\n"
-            "                  if m.partition('.')[0] in ('scipy', 'jsonschema'))\n"
+            "                  if m.partition('.')[0] in ('scipy', 'jsonschema')\n"
+            "                  or m == 'tlsphonon.oracles')\n"
             "seen = [['import', loaded()]]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0\n"

@@ -5,24 +5,20 @@ import math
 import mpmath
 import pytest
 
-from tlsphonon.bloch import RelaxationTimes
 from tlsphonon.constants import HBAR, KB, TWO_PI
 from tlsphonon.dissipation import (
     critical_intensity,
     decay_length,
     freq_shift_res,
     gamma_rel_closed,
-    gamma_rel_integral_oracle,
-    gamma_res_integral_oracle,
     gamma_res_strong,
     gamma_res_weak,
-    minimum_lifetime_times,
     q_factor,
-    rayleigh_floor,
     suppression_factor,
     total_linewidth,
 )
-from tlsphonon.tls_core import DriveState
+from tlsphonon.oracles import gamma_rel_integral_oracle, gamma_res_integral_oracle
+from tlsphonon.tls_core import DriveState, RelaxationTimes, min_lifetime
 
 OMEGA = TWO_PI * 9.188e9
 
@@ -133,8 +129,8 @@ class TestResonantStrong:
 class TestResonantOracle:
     def test_weak_field_agreement(self, ge_doped, probe_mode):
         material, ensemble = ge_doped
-        times = minimum_lifetime_times(probe_mode, 1.1, material, ensemble,
-                                       t2=1e4 / OMEGA)
+        t1 = min_lifetime(HBAR * probe_mode.omega, material, ensemble, 1.1)
+        times = RelaxationTimes(t1=t1, t2=1e4 / OMEGA)
         oracle = gamma_res_integral_oracle(probe_mode, 1.1, 0.0, times,
                                            material, ensemble)
         closed = gamma_res_weak(probe_mode, 1.1, material, ensemble)
@@ -142,8 +138,8 @@ class TestResonantOracle:
 
     def test_saturated_agreement(self, ge_doped, probe_mode):
         material, ensemble = ge_doped
-        times = minimum_lifetime_times(probe_mode, 1.1, material, ensemble,
-                                       t2=1e4 / OMEGA)
+        t1 = min_lifetime(HBAR * probe_mode.omega, material, ensemble, 1.1)
+        times = RelaxationTimes(t1=t1, t2=1e4 / OMEGA)
         j_c = critical_intensity(material, 1.1, times=times, ensemble=ensemble)
         oracle = gamma_res_integral_oracle(probe_mode, 1.1, 10.0 * j_c, times,
                                            material, ensemble)
@@ -155,8 +151,8 @@ class TestResonantOracle:
         # omega T2 = 10 sits outside the closed form's validity; the
         # documented deviation exceeds 1%
         material, ensemble = ge_doped
-        times = minimum_lifetime_times(probe_mode, 1.1, material, ensemble,
-                                       t2=10.0 / OMEGA)
+        t1 = min_lifetime(HBAR * probe_mode.omega, material, ensemble, 1.1)
+        times = RelaxationTimes(t1=t1, t2=10.0 / OMEGA)
         oracle = gamma_res_integral_oracle(probe_mode, 1.1, 0.0, times,
                                            material, ensemble)
         closed = gamma_res_weak(probe_mode, 1.1, material, ensemble)
@@ -167,8 +163,8 @@ class TestResonantOracle:
         # O(1/(omega T2)), through its broad tail rather than the peak
         material, ensemble = ge_doped
         for omega_t2 in (1e3, 1e4):
-            times = minimum_lifetime_times(probe_mode, 1.1, material, ensemble,
-                                           t2=omega_t2 / OMEGA)
+            t1 = min_lifetime(HBAR * probe_mode.omega, material, ensemble, 1.1)
+            times = RelaxationTimes(t1=t1, t2=omega_t2 / OMEGA)
             full = gamma_res_integral_oracle(probe_mode, 1.1, 0.0, times,
                                              material, ensemble)
             res_only = gamma_res_integral_oracle(probe_mode, 1.1, 0.0, times,
@@ -314,12 +310,3 @@ class TestTotalAndHelpers:
             4760.0 / gamma, rel=1e-12
         )
         assert decay_length(gamma, material, "L") > 1e-3
-
-    def test_rayleigh_floor(self):
-        ref = (TWO_PI * 9.2e9, TWO_PI * 200e3)
-        assert rayleigh_floor(ref[0], ref) == ref[1]
-        assert rayleigh_floor(ref[0] / 2.0, ref) == pytest.approx(ref[1] / 16.0,
-                                                                  rel=1e-12)
-        assert rayleigh_floor(TWO_PI * 4.6e9, ref) == pytest.approx(
-            TWO_PI * 12.5e3, rel=1e-12
-        )

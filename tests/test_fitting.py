@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tlsphonon.bloch import RelaxationTimes
 from tlsphonon.constants import HBAR, KB, TWO_PI
 from tlsphonon.dissipation import (
     critical_intensity,
@@ -37,7 +36,7 @@ from tlsphonon.fitting import (
 from tlsphonon.numerics import digamma_half_plus_imag
 from tlsphonon.sbs import OpticalDrive, lorentzian_profile
 from tlsphonon.synth import BGSTrace
-from tlsphonon.tls_core import DriveState, PhononMode, min_lifetime
+from tlsphonon.tls_core import DriveState, PhononMode, RelaxationTimes, min_lifetime
 
 OMEGA = TWO_PI * 9.188e9
 CENTER = OMEGA
@@ -449,8 +448,14 @@ def assert_matches_least_squares(trace) -> LorentzianFit:
     fit = fit_lorentzian(trace)
     params, cov, residual_norm = scipy_lorentzian(trace)
     assert abs(fit.omega_hat - params[0]) <= 1e-8 * params[1]
-    assert fit.gamma_hat == pytest.approx(params[1], rel=1e-8)
-    assert fit.peak_hat == pytest.approx(params[2], rel=1e-8)
+    # both solvers stop on a 1e-10 step. At the lowest noise that leaves the
+    # width and peak ~1e-10 apart relative, which can exceed 1e-6 of the
+    # fit's sigma; along a flat direction of the cost, as on a wide, truncated
+    # line at high noise, the gap passes 1e-8 relative but stays well under
+    # 1e-6 sigma, the covariance's scale. Either scale bounds the gap
+    sigma = np.sqrt(np.diag(fit.covariance))
+    assert fit.gamma_hat == pytest.approx(params[1], rel=1e-8, abs=1e-6 * sigma[1])
+    assert fit.peak_hat == pytest.approx(params[2], rel=1e-8, abs=1e-6 * sigma[2])
     bound = 1e-6 * np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert np.all(np.abs(fit.covariance - cov) <= bound)
     assert fit.residual_norm == pytest.approx(residual_norm, rel=1e-6)
@@ -501,6 +506,10 @@ class TestSolverOracle:
     @given(offset=st.floats(-0.9, 0.9), log_width=st.floats(-1.3, -0.3),
            points=st.integers(41, 401), log_peak=st.floats(-10.0, -3.0),
            log_noise=st.floats(-3.0, -1.3), seed=st.integers(0, 2 ** 16))
+    # a wide, truncated line at the highest noise, where gamma_hat once
+    # differed from least_squares by 1.04e-8 relative (2.1e-7 sigma)
+    @example(offset=0.0, log_width=-1.298828125, points=269, log_peak=-4.6953125,
+             log_noise=-1.3125, seed=9230)
     def test_lorentzian_matches_least_squares(self, ge_doped, offset, log_width, points,
                                               log_peak, log_noise, seed):
         # the window spans +-2 FWHM of the widest line and +-20 FWHM of

@@ -6,12 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from tlsphonon.numerics import (
+from tlsphonon.numerics import coth, digamma_half_plus_imag
+from tlsphonon.oracles import (
     QuadratureError,
     QuadratureResult,
     bose_occupation,
-    coth,
-    digamma_half_plus_imag,
     quad2d_adaptive,
     quad_adaptive,
     sech_squared,

@@ -13,11 +13,11 @@ from tlsphonon.sbs import (
     brillouin_frequency,
     g_b_at_linewidth,
     lorentzian_profile,
-    phase_match_residual,
     phonon_intensity,
     stokes_gain,
     weak_signal_margin,
 )
+from tlsphonon.oracles import phase_match_residual
 from tlsphonon.tls_core import MaterialParams
 
 PUMP_WAVELENGTH = 1548.963e-9

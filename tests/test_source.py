@@ -1,4 +1,5 @@
-"""The README's library example runs as written; no module keeps an unused import."""
+"""The README's library example runs as written; no module keeps an unused
+import; only the oracles import scipy, and no module imports the oracles."""
 
 import ast
 import contextlib
@@ -48,3 +49,44 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "import math\nfrom os import path, sep\nfrom . import x as y\nprint(sep, y)\n"
     assert unused_imports(source) == [(1, "math"), (2, "path")]
+
+
+def imported_modules(source: str):
+    """Dotted names a module imports from: ``import a.b`` gives "a.b", and
+    ``from .m import n`` gives ".m" and ".m.n", since n may be a module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            prefix = base if base.endswith(".") else base + "."
+            names.add(base)
+            names.update(prefix + alias.name for alias in node.names)
+    return names
+
+
+def package_imports():
+    return {path.name: imported_modules(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_only_the_oracles_import_scipy():
+    importers = [name for name, modules in package_imports().items()
+                 if any(module.partition(".")[0] == "scipy" for module in modules)]
+    assert importers == ["oracles.py"]
+
+
+def test_no_module_imports_the_oracles():
+    # __init__.py included: importing tlsphonon.cli runs it, so a re-export
+    # there would load scipy in every command
+    importers = [name for name, modules in package_imports().items()
+                 if any("oracles" in module.split(".") for module in modules)]
+    assert importers == []
+
+
+def test_imported_modules_are_found():
+    source = ("import scipy.integrate\nfrom . import oracles\n"
+              "def f():\n    from .numerics import coth\n")
+    assert imported_modules(source) == {"scipy.integrate", ".", ".oracles",
+                                        ".numerics", ".numerics.coth"}

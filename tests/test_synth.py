@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from tlsphonon.bloch import RelaxationTimes
 from tlsphonon.constants import TWO_PI
 from tlsphonon.dissipation import gamma_rel_closed, gamma_res_weak, total_linewidth
 from tlsphonon.sbs import OpticalDrive, stokes_gain, g_b_at_linewidth
@@ -22,7 +21,7 @@ from tlsphonon.synth import (
     synth_sweep,
     synth_trace,
 )
-from tlsphonon.tls_core import DriveState, PhononMode
+from tlsphonon.tls_core import DriveState, PhononMode, RelaxationTimes
 
 
 @pytest.fixture(scope="module")

@@ -8,20 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlsphonon.constants import HBAR, KB, TWO_PI
+from tlsphonon.oracles import equilibrium_inversion, tls_eigenvectors, tls_transition_rates
 from tlsphonon.tls_core import (
     DriveState,
     MaterialParams,
     PhononMode,
     TLSEnsemble,
     TLSState,
-    equilibrium_inversion,
     get_preset,
     golden_rule_rate,
     min_lifetime,
     preset_names,
-    tls_eigenvectors,
     tls_energy,
-    tls_transition_rates,
 )
 
 PROBE_E = HBAR * TWO_PI * 9.188e9
