@@ -1,9 +1,10 @@
 """Run configuration: key and type checks, presets, and deterministic hashing.
 
 A run is fully described by one JSON document -- material, ensemble, the
-critical-intensity source, the sweep plan, and the base seed. No state
-comes from the environment or the wall clock, so identical configs produce
-identical outputs. Frequencies in config files and all emitted files are
+critical-intensity source, the sweep plan, and the base seed. Here alone the
+source becomes the ensemble's J_c law a T^b (a constant J_c is (J_c, 0)).
+No state comes from the environment or the wall clock, so identical configs
+produce identical outputs. Frequencies in config files and all emitted files are
 ordinary Hz and angular inside; each file boundary converts its own: this
 module the config's, :mod:`tlsphonon.dataset` a trace's detuning axis and
 pump frequency, and the ``fit`` and ``model`` writers their results. Each
@@ -16,10 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .constants import EV, TWO_PI
+from .dissipation import jc_t1t2
 from .synth import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, RUNG_STEP_K, ForwardModel, SweepPlan
 from .tls_core import MaterialParams, RelaxationTimes, TLSEnsemble, get_preset, preset_names
 
@@ -91,12 +93,12 @@ def _boolean(doc: dict, path: str, default=None) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with resolved physics objects."""
+    """Validated run configuration with resolved physics objects; the run's J_c
+    law is ``ensemble.jc_power_law`` whatever the ``jc_source``."""
 
     material: MaterialParams
     ensemble: TLSEnsemble
-    times: Optional[RelaxationTimes]
-    j_c_explicit: Optional[float]
+    times: Optional[RelaxationTimes]  # the T1, T2 of a ``times`` source, else None
     seed: int
     raw: dict  # the canonical JSON document this config came from
 
@@ -116,8 +118,6 @@ class RunConfig:
         return ForwardModel(
             material=self.material,
             ensemble=self.ensemble,
-            times=self.times,
-            j_c_explicit=self.j_c_explicit,
             pump_wavelength=float(_number(synth, "synth.pump_wavelength_m",
                                           ForwardModel.pump_wavelength)),
             drift_reference_k=drift_ref,
@@ -211,22 +211,19 @@ def parse_config(doc: dict) -> RunConfig:
         raise _invalid("jc_source", f"must be an object of type {', '.join(_JC_SOURCE_KEYS)}",
                        source)
     _section(source, "jc_source", _JC_SOURCE_KEYS[kind])
+    material = _material_from_doc(doc["material"])
+    ensemble = _ensemble_from_doc(doc["ensemble"])
     times = None
-    j_c_explicit = None
     if kind == "times":
         times = RelaxationTimes(t1=_number(source, "jc_source.t1_s"),
                                 t2=_number(source, "jc_source.t2_s"))
+        ensemble = replace(ensemble, jc_power_law=(
+            jc_t1t2(material, ensemble, "L") / (times.t1 * times.t2), 0.0))
     elif kind == "explicit":
-        j_c_explicit = float(_number(source, "jc_source.jc_w_m2"))
+        ensemble = replace(ensemble,
+                           jc_power_law=(_number(source, "jc_source.jc_w_m2"), 0.0))
 
-    config = RunConfig(
-        material=_material_from_doc(doc["material"]),
-        ensemble=_ensemble_from_doc(doc["ensemble"]),
-        times=times,
-        j_c_explicit=j_c_explicit,
-        seed=int(seed),
-        raw=doc,
-    )
+    config = RunConfig(material=material, ensemble=ensemble, times=times, seed=int(seed), raw=doc)
     config.forward_model()
     if "synth" in doc:
         config.sweep_plan()

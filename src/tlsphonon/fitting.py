@@ -191,7 +191,8 @@ def fit_lorentzian(trace: BGSTrace) -> LorentzianFit:
     drops below 1e-10; more than 500 model evaluations raises
     :class:`FitError`, as does data with no discernible peak: a maximum less
     than 3 noise scales above the window minimum, the noise scale being the
-    median absolute deviation of successive differences over sqrt(2). The
+    median absolute deviation of successive differences over sqrt(2), or a
+    fitted FWHM under the mean detuning step (one noise spike, not a line). The
     residual norm is in the units of the gain [W]. A bin's samples share one
     noise level, so weighting them would change neither the fit nor its
     covariance.
@@ -241,6 +242,10 @@ def fit_lorentzian(trace: BGSTrace) -> LorentzianFit:
                                      np.array([-np.inf, 1e-12, 1e-12]), MAX_FIT_EVALS,
                                      "Lorentzian")
     params = np.array([center0 + p[0] * scale[0], p[1] * scale[1], p[2] * scale[2]])
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    if not params[1] >= step:
+        raise FitError(f"no discernible peak: fitted FWHM {params[1]:.3g} rad/s is narrower "
+                       f"than the detuning step {step:.3g} rad/s")
     cov_norm = _covariance_from_jacobian(jac, r)
     s = np.diag(scale)
     cov = s @ cov_norm @ s

@@ -326,7 +326,8 @@ def render_report_table(report: dict, config: RunConfig,
                         source: Path = Path("report.json")) -> str:
     """Text table comparing fitted parameters against the configured values.
 
-    A first per-temperature row without a value the table shows is a
+    The J_c, a and b references are the config's J_c law. A first
+    per-temperature row without a value the table shows is a
     ValueError naming ``source``, the file ``report`` came from, and the key.
     """
     ens = config.ensemble
@@ -340,9 +341,8 @@ def render_report_table(report: dict, config: RunConfig,
         t_low, fit_jc, t1_t2, t1, t2 = (
             require_key(per_t[0], key, source)
             for key in ("temperature_k", "j_c_w_m2", "t1_t2_s2", "t1_s", "t2_s"))
-        if ens.jc_power_law is not None:
-            ref_jc = ens.j_c_from_power_law(t_low)
-    ref_a, ref_b = ens.jc_power_law if ens.jc_power_law is not None else (None, None)
+        ref_jc = ens.j_c_from_power_law(t_low)
+    ref_a, ref_b = ens.jc_power_law
 
     rows = [
         ("P*gamma_L^2 [J/m^3]", glob.get("p_gamma2_j_m3"), ens.p * ens.gamma_l ** 2),

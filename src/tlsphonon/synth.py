@@ -41,7 +41,6 @@ from .sbs import (
 from .tls_core import (
     MaterialParams,
     PhononMode,
-    RelaxationTimes,
     TLSEnsemble,
     _require_positive,
 )
@@ -64,28 +63,22 @@ class ConvergenceError(RuntimeError):
 class ForwardModel:
     """Everything the synthesizer and ``model`` need to evaluate the physics.
 
-    :meth:`j_c` is the one place that picks the critical-intensity source:
-    an explicit ``j_c_explicit``, else
-    :func:`~tlsphonon.dissipation.critical_intensity` from relaxation
-    ``times`` or the ensemble's power law, in that order.
-    ``drift_reference_k`` turns on the resonant frequency drift of the line
-    center relative to that temperature.
+    :meth:`j_c` evaluates the ensemble's critical-intensity law J_c = a T^b;
+    :func:`~tlsphonon.config.parse_config` writes every J_c source of a run
+    into that law. ``drift_reference_k`` turns on the resonant frequency
+    drift of the line center relative to that temperature.
     """
 
     material: MaterialParams
     ensemble: TLSEnsemble
-    times: Optional[RelaxationTimes] = None
-    j_c_explicit: Optional[float] = None
     pump_wavelength: float = 1548.963e-9
     drift_reference_k: Optional[float] = None
 
     def __post_init__(self):
         _require_positive(pump_wavelength=self.pump_wavelength)
-        if self.j_c_explicit is not None:
-            _require_positive(j_c_explicit=self.j_c_explicit)
-        elif self.times is None and self.ensemble.jc_power_law is None:
-            raise ValueError("no critical-intensity source configured: no explicit J_c, "
-                             "no relaxation times, and the ensemble has no J_c power law")
+        if self.ensemble.jc_power_law is None:
+            raise ValueError("no critical-intensity source configured: "
+                             "the ensemble has no J_c power law")
 
     @property
     def pump_omega(self) -> float:
@@ -94,10 +87,7 @@ class ForwardModel:
     def j_c(self, temperature):
         """Critical intensity [W/m^2] of the longitudinal mode at ``temperature``
         (a scalar or an array)."""
-        if self.j_c_explicit is not None:
-            return self.j_c_explicit
-        return critical_intensity(self.material, temperature, times=self.times,
-                                  ensemble=self.ensemble)
+        return critical_intensity(self.material, temperature, ensemble=self.ensemble)
 
     def line_center(self, temperature: float) -> float:
         """Acoustic resonance frequency at this temperature [rad/s]."""

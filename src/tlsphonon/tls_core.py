@@ -101,7 +101,8 @@ class TLSEnsemble:
                   omitted the usual gamma_t^2 = gamma_l^2 / 2 assumption fills
                   it in
     jc_power_law  (a [W m^-2 K^-b], b) such that J_c(T) = a * T**b, or None
-                  when no calibration exists
+                  when no calibration exists; a run config writes its J_c
+                  source here, a constant J_c as (J_c, 0.0)
     gamma_bg      constant background dissipation rate [rad/s]
     """
 

@@ -32,7 +32,7 @@ from tlsphonon.constants import TWO_PI
 from tlsphonon.dataset import (_parse_lines, _parse_rows, format_rows, load_dataset,
                                read_manifest, read_trace, write_manifest, write_spectrum,
                                write_trace)
-from tlsphonon.dissipation import decay_length, q_factor, total_linewidth
+from tlsphonon.dissipation import decay_length, jc_t1t2, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import bin_traces, synth_sweep
 from tlsphonon.tls_core import DriveState, PhononMode
@@ -107,6 +107,26 @@ def edited(doc, path, value):
     return doc
 
 
+JC_SOURCES = {
+    "power-law": {"type": "power-law"},
+    "times": {"type": "times", "t1_s": 1e-7, "t2_s": 1e-9},
+    "explicit": {"type": "explicit", "jc_w_m2": 4.0},
+}
+
+
+def jc_law(kind, material, ensemble):
+    """The (a, b) of J_c = a T^b that a ``jc_source`` of type ``kind`` defines."""
+    if kind == "times":
+        return jc_t1t2(material, ensemble, "L") / (1e-7 * 1e-9), 0.0
+    return {"power-law": (0.9, 2.6), "explicit": (4.0, 0.0)}[kind]
+
+
+def report_references(text: str) -> dict:
+    """The reference column of a report table, keyed by the row name's first word."""
+    lines = text.splitlines()[2:]
+    return {line.split()[0].split("(")[0]: line.split()[-1] for line in lines}
+
+
 # (key path, new value, message pattern): every document parse_config rejects
 REJECTED = {
     "unknown-top-key": (("bogus",), 1, "invalid config: config has unknown key 'bogus'"),
@@ -131,7 +151,7 @@ REJECTED = {
     "t_end-at-t_start": (("synth", "t_end_k"), 1.1, "need t_start < t_end"),
     "negative-seed": (("seed",), -1, "seed must be >= 0, got -1"),
     "negative-explicit-j_c": (("jc_source",), {"type": "explicit", "jc_w_m2": -1},
-                              "j_c_explicit must be finite and > 0"),
+                              "jc_power_law_a must be finite and > 0, got -1"),
     "negative-bin-width": (("fit", "bin_width_k"), -1, "fit.bin_width_k must be finite and > 0"),
     "integer-weighted": (("fit", "weighted"), 1, "fit.weighted must be true or false, got 1"),
 }
@@ -145,8 +165,8 @@ FULL_DOC["fit"].update(bin_width_k=0.2, t0_k=1.2, weighted=True)
 ACCEPTED = {
     "base": base_doc(),
     "inline-material-and-ensemble": FULL_DOC,
-    "times": base_doc(jc_source={"type": "times", "t1_s": 1e-7, "t2_s": 1e-9}),
-    "explicit": base_doc(jc_source={"type": "explicit", "jc_w_m2": 4.0}),
+    "times": base_doc(jc_source=JC_SOURCES["times"]),
+    "explicit": base_doc(jc_source=JC_SOURCES["explicit"]),
     "no-center-drift": edited(base_doc(), ("synth", "center_drift"), False),
     "no-synth-no-fit": edited(edited(base_doc(), ("synth",), DELETE), ("fit",), DELETE),
     "no-power-law": base_doc(ensemble={**INLINE_ENSEMBLE, "jc_power_law": None},
@@ -164,11 +184,15 @@ class TestConfig:
         assert config.seed == 42
 
     @pytest.mark.parametrize("case", REJECTED)
-    def test_rejected_at_parse(self, case):
+    def test_rejected_at_parse(self, case, tmp_path, capsys):
         path, value, message = REJECTED[case]
+        doc = edited(base_doc(), path, value)
         with pytest.raises(ValueError, match=message) as exc:
-            parse_config(edited(base_doc(), path, value))
+            parse_config(doc)
         assert "\n" not in str(exc.value)
+        assert main(["model", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "model"), "--grid", "T=1.1,J=1,f=9e9"]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     @pytest.mark.parametrize("case", ACCEPTED)
     def test_accepted_at_parse(self, case):
@@ -190,10 +214,11 @@ class TestConfig:
             parse_config(doc)
 
     def test_explicit_times_source(self):
-        doc = base_doc(jc_source={"type": "times", "t1_s": 1e-7, "t2_s": 1e-9})
-        config = parse_config(doc)
-        assert config.times.t1 == 1e-7
-        assert config.j_c_explicit is None
+        # T1 T2 replaces the preset ensemble's own power law (0.9, 2.6)
+        config = parse_config(base_doc(jc_source=JC_SOURCES["times"]))
+        assert (config.times.t1, config.times.t2) == (1e-7, 1e-9)
+        assert config.ensemble.jc_power_law == jc_law("times", config.material,
+                                                      config.ensemble)
 
     def test_inline_material_units(self):
         doc = base_doc(material=INLINE_MATERIAL)
@@ -503,11 +528,7 @@ class TestCliModel:
         assert row["gamma_res_hz"] == bd.gamma_res / TWO_PI
         assert row["j_c_w_m2"] == ensemble.j_c_from_power_law(1.1)
 
-    @pytest.mark.parametrize("jc_source", [
-        {"type": "power-law"},
-        {"type": "times", "t1_s": 1e-7, "t2_s": 1e-9},
-        {"type": "explicit", "jc_w_m2": 4.0},
-    ], ids=["power-law", "times", "explicit"])
+    @pytest.mark.parametrize("jc_source", JC_SOURCES.values(), ids=list(JC_SOURCES))
     def test_grid_matches_pointwise_library(self, tmp_path, jc_source):
         # the grid is evaluated as arrays; each row must agree with a scalar
         # call at its grid point up to last-digit rounding (array and scalar
@@ -864,6 +885,67 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+@pytest.mark.parametrize("kind", JC_SOURCES)
+class TestJcSource:
+    """Each source is one law J_c = a T^b for the model, synth and the report."""
+
+    def test_j_c_is_the_source_law(self, kind):
+        config = parse_config(base_doc(jc_source=JC_SOURCES[kind]))
+        a, b = jc_law(kind, config.material, config.ensemble)
+        assert config.ensemble.jc_power_law == (a, b)
+        model = config.forward_model()
+        t = np.array([1.15, 2.0, 4.15])
+        want = a * t ** b if b else np.full_like(t, a)  # a constant law is J_c itself
+        assert np.array_equal(bits(model.j_c(t)), bits(want))
+        assert bits(model.j_c(1.15)) == bits(want[0])
+
+    def test_report_references_the_source_law(self, kind, tmp_path, capsys):
+        doc = base_doc(jc_source=JC_SOURCES[kind])
+        config = parse_config(doc)
+        data, out = tmp_path / "data", tmp_path / "fit"
+        assert main(["synth", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(data)]) == 0
+        assert main(["fit", str(data), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (out / "report.txt").read_text()
+        t_low = json.loads((out / "report.json").read_text())["per_temperature"][0][
+            "temperature_k"]
+        a, b = jc_law(kind, config.material, config.ensemble)
+        refs = report_references(stdout)
+        assert (refs["J_c"], refs["a"], refs["b"]) == (
+            f"{a * t_low ** b:.4g}", f"{a:.4g}", f"{b:.4g}")
+
+
+class TestFitStageNotes:
+    """A stage that cannot run is a note; the fit still exits 0 with every table."""
+
+    @pytest.mark.parametrize("t_end, fit, note", [
+        (1.3, {}, "too few temperature bins for power-law / decomposition stages"),
+        (1.6, {"t0_k": 5.0},
+         "frequency-shift stage failed: fits do not span the reference temperature 5.0 K"),
+    ], ids=["two-rungs", "t0-outside-the-ladder"])
+    def test_note_keeps_the_other_tables(self, tmp_path, capsys, t_end, fit, note):
+        doc = base_doc()
+        doc["synth"]["t_end_k"] = t_end
+        doc["fit"].update(fit)
+        data, out = tmp_path / "data", tmp_path / "fit"
+        assert main(["synth", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(data)]) == 0
+        assert main(["fit", str(data), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert note in report["notes"]
+        assert report["per_bin"] and report["per_temperature"]
+        assert bool(report["freq_shift"]) == ("t0_k" not in fit)
+        assert ("a_w_m2" in report["global"]) == ("t0_k" in fit)
+        for table in TABLE_COLUMNS:
+            assert len((out / f"{table}.csv").read_text().splitlines()) == (
+                2 + len(report[table]))
+        assert (out / "report.txt").read_text()
+        assert "error" not in capsys.readouterr().err
+
+
 class TestFailureContract:
     @pytest.mark.parametrize("setting, value, message", [
         (("power_settings_w", 0), [float("nan"), 0.01], "optical powers must be finite"),
@@ -958,6 +1040,20 @@ class TestFailureContract:
         out = tmp_path / "fit"
         assert main(["fit", str(data), "--out", str(out)]) == 1
         assert "fit units failed" in capsys.readouterr().err
+
+    def test_noise_only_traces_fail_every_unit(self, tmp_path, capsys):
+        # no signal at all: each bin's fit is one noise spike, not a line
+        doc = base_doc(seed=7)
+        doc["synth"].update(t_end_k=1.3, traces_per_100mk=10,
+                            power_settings_w=[[1e-30, 1e-30]], noise_sigma_w=2e-10)
+        config_path = write_config(tmp_path, doc)
+        data, out = tmp_path / "data", tmp_path / "fit"
+        assert main(["synth", "--config", str(config_path), "--out", str(data)]) == 0
+        assert main(["fit", str(data), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["per_bin"] == [] and len(report["errors"]) == 2
+        assert all("narrower than the detuning step" in e for e in report["errors"])
+        assert "2/2 fit units failed" in capsys.readouterr().err
 
 
 class TestPipelineOptions:

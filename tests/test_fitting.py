@@ -132,6 +132,17 @@ class TestLorentzian:
         with pytest.raises(FitError, match="no discernible peak"):
             fit_lorentzian(flat)
 
+    @pytest.mark.parametrize("seed", [4, 8])
+    def test_noise_spike_is_not_a_line(self, ge_doped, seed):
+        # pure noise passes the flat-trace gate (its max - min is ~6 sigma);
+        # these draws fit one spike narrower than a detuning step
+        trace = make_trace(ge_doped)
+        noise = BGSTrace(temperature=1.1, detuning_grid=trace.detuning_grid,
+                         gain=np.random.default_rng(seed).normal(0.0, PEAK / 100.0, 401),
+                         drive=trace.drive, seed=seed, timestamp_index=0)
+        with pytest.raises(FitError, match="narrower than the detuning step"):
+            fit_lorentzian(noise)
+
     def test_covariance_shape_and_symmetry(self, ge_doped):
         fit = fit_lorentzian(make_trace(ge_doped, noise=PEAK / 100.0, seed=5))
         assert fit.covariance.shape == (3, 3)

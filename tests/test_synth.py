@@ -1,13 +1,15 @@
 """Synthetic campaigns: self-consistency, determinism, binning."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from tlsphonon.config import parse_config
 from tlsphonon.constants import TWO_PI
 from tlsphonon.dissipation import gamma_rel_closed, gamma_res_weak, total_linewidth
-from tlsphonon.sbs import OpticalDrive, stokes_gain, g_b_at_linewidth
+from tlsphonon.sbs import OpticalDrive, brillouin_frequency, stokes_gain, g_b_at_linewidth
 from tlsphonon.synth import (
     MAX_SAMPLES,
     MAX_TRACES,
@@ -21,7 +23,7 @@ from tlsphonon.synth import (
     synth_sweep,
     synth_trace,
 )
-from tlsphonon.tls_core import DriveState, PhononMode, RelaxationTimes
+from tlsphonon.tls_core import DriveState, PhononMode
 
 
 @pytest.fixture(scope="module")
@@ -31,16 +33,39 @@ def model(ge_doped):
                         drift_reference_k=1.1)
 
 
-def test_explicit_j_c_takes_precedence_over_times(ge_doped):
-    # ForwardModel.j_c alone picks the source: an explicit J_c wins over times
+def test_j_c_evaluates_the_ensemble_law(ge_doped):
+    # ForwardModel.j_c has no source of its own: a constant law (J_c, 0)
+    # gives J_c at every temperature, scalar or array
     material, ensemble = ge_doped
-    times = RelaxationTimes(t1=1e-7, t2=1e-9)
-    model = ForwardModel(material=material, ensemble=ensemble, times=times, j_c_explicit=4.0)
+    constant = dataclasses.replace(ensemble, jc_power_law=(4.0, 0.0))
+    model = ForwardModel(material=material, ensemble=constant)
     assert model.j_c(1.1) == 4.0
+    assert np.array_equal(model.j_c(np.array([1.1, 2.0, 4.2])), [4.0, 4.0, 4.0])
     mode = PhononMode.in_material(material, TWO_PI * 9.188e9, "L")
     drive = DriveState(temperature=1.1, intensity=3.0, drive_omega=mode.omega)
-    assert (total_linewidth(mode, drive, material, ensemble, j_c=model.j_c(1.1))
+    assert (total_linewidth(mode, drive, material, constant)
             == total_linewidth(mode, drive, material, ensemble, j_c=4.0))
+    with pytest.raises(ValueError, match="no J_c power law"):
+        ForwardModel(material=material,
+                     ensemble=dataclasses.replace(ensemble, jc_power_law=None))
+
+
+@pytest.mark.parametrize("drift", [True, False], ids=["default", "center_drift-false"])
+def test_center_drift_switch(drift):
+    doc = {"material": "ge-doped-silica-44wt", "ensemble": "ge-doped-silica-44wt",
+           "jc_source": {"type": "power-law"}, "seed": 0,
+           "synth": {"t_start_k": 1.1, "t_end_k": 1.5, "traces_per_100mk": 1,
+                     "power_settings_w": [[0.035, 5.5e-4]], "noise_sigma_w": 0.0}}
+    if not drift:
+        doc["synth"]["center_drift"] = False
+    plan = parse_config(doc).sweep_plan()
+    model = plan.model
+    centers = [acq.rung.center for acq in plan_acquisitions(plan)[1]]  # one per rung
+    omega0 = brillouin_frequency(model.material, model.pump_omega)
+    if drift:
+        assert len(set(centers)) == 4 and omega0 not in centers
+    else:
+        assert centers == [omega0] * 4
 
 
 def drive_for(model, pump=0.035, stokes=0.55e-3):
