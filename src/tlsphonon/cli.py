@@ -191,6 +191,10 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
 
     for err in report["errors"]:
         print(f"warning: {err}", file=sys.stderr)
+    if result.n_fit_units == 0:  # no trace loaded, so no bin to fit
+        print(f"error: no fit units: {len(load_errors)} of {len(loaded)} traces failed to load",
+              file=sys.stderr)
+        return 1
     if result.failure_fraction > 0.5:
         print(f"error: {result.n_failures}/{result.n_fit_units} fit units failed",
               file=sys.stderr)

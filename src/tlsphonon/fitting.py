@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import HBAR, TWO_PI
 from .dissipation import (
     freq_shift_res,
     gamma_rel_closed,
@@ -86,17 +86,22 @@ class LorentzianFit:
     def gamma_sigma(self) -> float:
         return math.sqrt(max(self.covariance[1, 1], 0.0))
 
+    @property
+    def peak_sigma(self) -> float:
+        return math.sqrt(max(self.covariance[2, 2], 0.0))
+
 
 @dataclass(frozen=True)
 class SaturationFit:
-    """Per-temperature saturation fit, covariance ordered
-    (p_gamma2, j_c, gamma0)."""
+    """Saturation fit of one temperature bin, with the bin's mean temperature
+    and probed mode; covariance ordered (p_gamma2, j_c, gamma0)."""
 
     p_gamma2: float
     j_c: float
     gamma0: float
     covariance: np.ndarray
     temperature: float
+    mode: PhononMode
 
     @property
     def p_gamma2_sigma(self) -> float:
@@ -189,13 +194,15 @@ def fit_lorentzian(trace: BGSTrace) -> LorentzianFit:
     Initialization: center at the maximum sample, peak at its value, width
     from the half-maximum crossings. Converges when the relative step norm
     drops below 1e-10; more than 500 model evaluations raises
-    :class:`FitError`, as does data with no discernible peak: a maximum less
-    than 3 noise scales above the window minimum, the noise scale being the
-    median absolute deviation of successive differences over sqrt(2), or a
-    fitted FWHM under the mean detuning step (one noise spike, not a line). The
-    residual norm is in the units of the gain [W]. A bin's samples share one
-    noise level, so weighting them would change neither the fit nor its
-    covariance.
+    :class:`FitError`. So does a spectrum that is not a line, checked in this
+    order: a maximum less than 3 noise scales above the window minimum (a
+    flat trace; the noise scale is the median absolute deviation of
+    successive differences over sqrt(2)), a fitted FWHM under the mean
+    detuning step (one noise spike), a fitted peak under 5 times its own
+    sigma (noise that a wide line happens to fit), and a fitted line center
+    that is not > 0 (a detuning axis shifted through zero). The residual
+    norm is in the units of the gain [W]. A bin's samples share one noise
+    level, so weighting them would change neither the fit nor its covariance.
     """
     x = np.asarray(trace.detuning_grid, dtype=float)
     y = np.asarray(trace.gain, dtype=float)
@@ -242,20 +249,24 @@ def fit_lorentzian(trace: BGSTrace) -> LorentzianFit:
                                      np.array([-np.inf, 1e-12, 1e-12]), MAX_FIT_EVALS,
                                      "Lorentzian")
     params = np.array([center0 + p[0] * scale[0], p[1] * scale[1], p[2] * scale[2]])
-    step = (x[-1] - x[0]) / (len(x) - 1)
-    if not params[1] >= step:
-        raise FitError(f"no discernible peak: fitted FWHM {params[1]:.3g} rad/s is narrower "
-                       f"than the detuning step {step:.3g} rad/s")
-    cov_norm = _covariance_from_jacobian(jac, r)
     s = np.diag(scale)
-    cov = s @ cov_norm @ s
-    return LorentzianFit(
+    fit = LorentzianFit(
         omega_hat=float(params[0]),
         gamma_hat=float(params[1]),
         peak_hat=float(params[2]),
-        covariance=cov,
+        covariance=s @ _covariance_from_jacobian(jac, r) @ s,
         residual_norm=float(np.linalg.norm(r)),
     )
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    if not fit.gamma_hat >= step:
+        raise FitError(f"no discernible peak: fitted FWHM {fit.gamma_hat:.3g} rad/s is narrower "
+                       f"than the detuning step {step:.3g} rad/s")
+    if not fit.peak_hat >= 5.0 * fit.peak_sigma:
+        raise FitError(f"no discernible peak: fitted peak {fit.peak_hat:.3g} W is under "
+                       f"5 times its sigma {fit.peak_sigma:.3g} W")
+    if not fit.omega_hat > 0.0:
+        raise FitError(f"fitted line center {fit.omega_hat / TWO_PI:.6g} Hz is not > 0")
+    return fit
 
 
 def _levenberg_marquardt(model, p0, lower, max_nfev: int, name: str):
@@ -413,7 +424,7 @@ def _saturation_problem(bins, material: MaterialParams, sigmas):
 
 
 def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
-    """(per-bin fits, sigma of P gamma^2) of the least squares of
+    """One fit per bin, in the order of ``bins``, from the least squares of
     :func:`_saturation_problem`, every scaled parameter starting at 1."""
     model, scale = _saturation_problem(bins, material, sigmas)
     p, r, jac = _levenberg_marquardt(model, np.ones(len(scale)), np.full(len(scale), 1e-12),
@@ -421,14 +432,14 @@ def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
     cov = np.diag(scale) @ _covariance_from_jacobian(jac, r) @ np.diag(scale)
     x = p * scale
     n = len(bins)
-    per_bin = []
-    for idx, (temperature, _, points) in enumerate(bins):
+    fits = []
+    for idx, (temperature, mode, points) in enumerate(bins):
         sel = [0, 1 + idx, 1 + n + idx]  # (p_gamma2, j_c, gamma0)
         fit = SaturationFit(*map(float, x[sel]), covariance=cov[np.ix_(sel, sel)],
-                            temperature=temperature)
+                            temperature=temperature, mode=mode)
         _warn_if_flat(np.asarray(points, dtype=float)[:, 0], fit.j_c, temperature)
-        per_bin.append(fit)
-    return per_bin, float(math.sqrt(max(cov[0, 0], 0.0)))
+        fits.append(fit)
+    return fits
 
 
 def fit_saturation(
@@ -453,39 +464,28 @@ def fit_saturation(
         raise FitError("saturation fit needs strictly positive intensities")
     if j.max() / j.min() < 10.0:
         raise FitError("saturation fit needs intensities spanning at least one decade")
-    per_bin, _ = _solve_saturation(
-        [(temperature, mode, points)], material,
-        None if sigmas is None else [sigmas], MAX_FIT_EVALS)
-    return per_bin[0]
-
-
-@dataclass(frozen=True)
-class SharedSaturationResult:
-    """Joint saturation fit with one coupling product across all bins."""
-
-    p_gamma2: float
-    p_gamma2_sigma: float
-    per_bin: List[SaturationFit]
+    return _solve_saturation([(temperature, mode, points)], material,
+                             None if sigmas is None else [sigmas], MAX_FIT_EVALS)[0]
 
 
 def fit_saturation_shared(
     bins: Sequence[Tuple[float, PhononMode, Sequence[Tuple[float, float]]]],
     material: MaterialParams,
     sigmas: Optional[Sequence[Sequence[float]]] = None,
-) -> SharedSaturationResult:
-    """Saturation fits for every temperature bin with a shared P gamma^2.
+) -> List[SaturationFit]:
+    """Saturation fits of every temperature bin, in the order of ``bins``,
+    with a shared P gamma^2.
 
     The coupling product is a material constant, so it is fit globally:
     parameters are (p_gamma2, {j_c_i}, {gamma0_i}), solved in one least
-    squares. Every bin starts from the rule fit_saturation documents, and
-    P gamma^2 from the median of the bins' starts. A bin too small for a fit
-    of its own still takes part; it needs no point count or decade span.
+    squares, and every fit holds that P gamma^2 and its sigma. Every bin
+    starts from the rule fit_saturation documents, and P gamma^2 from the
+    median of the bins' starts. A bin too small for a fit of its own still
+    takes part; it needs no point count or decade span.
     """
     if not bins:
         raise FitError("no bins to fit")
-    per_bin, sigma = _solve_saturation(bins, material, sigmas, 200 * (1 + 2 * len(bins)))
-    return SharedSaturationResult(p_gamma2=per_bin[0].p_gamma2, p_gamma2_sigma=sigma,
-                                  per_bin=per_bin)
+    return _solve_saturation(bins, material, sigmas, 200 * (1 + 2 * len(bins)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,21 +554,17 @@ def fit_gamma0_decomposition(
     )
 
 
-def extract_times(
-    sat: SaturationFit,
-    material: MaterialParams,
-    ensemble: TLSEnsemble,
-    mode: PhononMode,
-    temperature: float,
-) -> TimesExtraction:
-    """Relaxation times from a fitted critical intensity.
+def extract_times(sat: SaturationFit, material: MaterialParams,
+                  ensemble: TLSEnsemble) -> TimesExtraction:
+    """Relaxation times from a fitted critical intensity, at the fit's own
+    bin: its mode and temperature.
 
     T1 T2 = :func:`~tlsphonon.dissipation.jc_t1t2` / J_c; T1 is estimated as
     the minimum TLS lifetime at the probed splitting, and T2 follows from the
     product.
     """
-    t1_t2 = jc_t1t2(material, ensemble, mode.polarization) / sat.j_c
-    t1 = min_lifetime(HBAR * mode.omega, material, ensemble, temperature)
+    t1_t2 = jc_t1t2(material, ensemble, sat.mode.polarization) / sat.j_c
+    t1 = min_lifetime(HBAR * sat.mode.omega, material, ensemble, sat.temperature)
     return TimesExtraction(t1_t2=t1_t2, t1=t1, t2=t1_t2 / t1)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -109,14 +109,12 @@ def _bin_stage(traces: List[BGSTrace], bin_width: float) -> List[FitUnit]:
 
 def _lorentz_stage(units: List[FitUnit], config: RunConfig,
                    errors: List[str]) -> List[FitUnit]:
-    """The units whose spectrum fits a Lorentzian with a line center > 0,
-    failures to ``errors``."""
+    """The units whose spectrum :func:`fit_lorentzian` accepts as a line,
+    each refusal to ``errors``."""
     fitted = []
     for unit in units:
         try:
             fit = fit_lorentzian(unit.trace)
-            if not fit.omega_hat > 0.0:  # a detuning axis shifted through zero
-                raise FitError(f"fitted line center {_hz(fit.omega_hat):.6g} Hz is not > 0")
         except FitError as exc:
             errors.append(f"bin {unit.center:.3f} K setting {unit.setting}: {exc}")
             continue
@@ -154,34 +152,32 @@ def _saturation_inputs(fitted: List[FitUnit], config: RunConfig):
 
 def _saturation_stage(bins, sigmas, config: RunConfig, shared: bool,
                       notes: List[str]):
-    """Saturation fits paired with their bins' modes, in the order of ``bins``,
-    P*gamma^2 (the median of the per-bin fits unless shared; None if no fit
-    was made) and its sigma. A failing per-bin fit is noted and skipped."""
+    """Saturation fits in the order of ``bins``, then P*gamma^2 and its sigma,
+    each the median over the fits (exact when shared, as every fit holds one
+    value; None and 0.0 if no fit was made). A failing fit is noted; a
+    failing per-bin fit is skipped."""
     if not bins:
         notes.append(
             f"saturation stage skipped: fewer than {MIN_SATURATION_POINTS} "
             "power settings per temperature bin"
         )
         return [], None, 0.0
+    saturation: List[SaturationFit] = []
     if shared:
         try:
-            shared_fit = fit_saturation_shared(bins, config.material, sigmas=sigmas)
+            saturation = fit_saturation_shared(bins, config.material, sigmas=sigmas)
         except FitError as exc:
             notes.append(f"saturation stage failed: {exc}")
-            return [], None, 0.0
-        return (list(zip(shared_fit.per_bin, (mode for _, mode, _ in bins))),
-                shared_fit.p_gamma2, shared_fit.p_gamma2_sigma)
-    saturation = []
-    for (t, mode, points), sig in zip(bins, sigmas or [None] * len(bins)):
-        try:
-            saturation.append((fit_saturation(points, mode, config.material, t, sigmas=sig),
-                               mode))
-        except FitError as exc:
-            notes.append(f"saturation fit at {t:.3f} K failed: {exc}")
+    else:
+        for (t, mode, points), sig in zip(bins, sigmas or [None] * len(bins)):
+            try:
+                saturation.append(fit_saturation(points, mode, config.material, t, sigmas=sig))
+            except FitError as exc:
+                notes.append(f"saturation fit at {t:.3f} K failed: {exc}")
     if not saturation:
         return saturation, None, 0.0
-    return (saturation, float(np.median([s.p_gamma2 for s, _ in saturation])),
-            float(np.median([s.p_gamma2_sigma for s, _ in saturation])))
+    return (saturation, float(np.median([s.p_gamma2 for s in saturation])),
+            float(np.median([s.p_gamma2_sigma for s in saturation])))
 
 
 def _powerlaw_stage(saturation: List[SaturationFit], config: RunConfig,
@@ -205,18 +201,18 @@ def _powerlaw_stage(saturation: List[SaturationFit], config: RunConfig,
     return powerlaw, decomposition
 
 
-def _times_stage(saturation: List[Tuple[SaturationFit, PhononMode]], decomposition,
+def _times_stage(saturation: List[SaturationFit], decomposition,
                  config: RunConfig) -> List[dict]:
     """Per-temperature rows: each saturation fit and the relaxation times
-    at its bin's mode."""
+    at its bin's mode and temperature."""
     ensemble_fit = config.ensemble
     if decomposition is not None:
         # gamma_t=None: the default transverse coupling the decomposition assumed
         ensemble_fit = replace(config.ensemble, p=decomposition.p,
                                gamma_l=decomposition.gamma_l, gamma_t=None)
     rows = []
-    for sat, mode in saturation:
-        times = extract_times(sat, config.material, ensemble_fit, mode, sat.temperature)
+    for sat in saturation:
+        times = extract_times(sat, config.material, ensemble_fit)
         rows.append(dict(zip(TABLE_COLUMNS["per_temperature"], (
             sat.temperature, sat.p_gamma2, sat.p_gamma2_sigma, sat.j_c, sat.j_c_sigma,
             _hz(sat.gamma0), _hz(sat.gamma0_sigma), times.t1_t2, times.t1, times.t2))))
@@ -302,8 +298,7 @@ def run_fit_pipeline(
     # no saturation fit: the later stages take the configured coupling product
     p_gamma2 = (config.ensemble.p * config.ensemble.gamma_l ** 2 if fitted_p_gamma2 is None
                 else fitted_p_gamma2)
-    powerlaw, decomposition = _powerlaw_stage([sat for sat, _ in saturation], config,
-                                              p_gamma2, notes)
+    powerlaw, decomposition = _powerlaw_stage(saturation, config, p_gamma2, notes)
     report["per_temperature"] = _times_stage(saturation, decomposition, config)
     report["freq_shift"] = _shift_stage(fitted, config, p_gamma2, p_gamma2_sigma, notes)
     report["global"] = _global_block(fitted_p_gamma2, p_gamma2_sigma, powerlaw, decomposition)

@@ -245,7 +245,6 @@ def solve_self_consistent(
     model: ForwardModel,
     *,
     center: Optional[float] = None,
-    max_iter: int = FIXED_POINT_MAX_ITER,
 ) -> OperatingPoint:
     """Solve the coupled (linewidth, intensity) fixed point at line center.
 
@@ -253,21 +252,20 @@ def solve_self_consistent(
     state, one from the gain-linewidth product), while the resonant loss
     shrinks as the intensity saturates it. The map Gamma -> Gamma(J(Gamma))
     is monotone, so plain iteration converges for physical parameters;
-    failure to do so within ``max_iter`` raises :class:`ConvergenceError`.
+    failure to do so within ``FIXED_POINT_MAX_ITER`` iterations raises
+    :class:`ConvergenceError`.
     """
-    return _solve_at(Rung.at(temperature, model, center), drive, model.material,
-                     max_iter=max_iter)
+    return _solve_at(Rung.at(temperature, model, center), drive, model.material)
 
 
-def _solve_at(rung: Rung, drive: OpticalDrive, material: MaterialParams, *,
-              max_iter: int = FIXED_POINT_MAX_ITER) -> OperatingPoint:
+def _solve_at(rung: Rung, drive: OpticalDrive, material: MaterialParams) -> OperatingPoint:
     """:func:`solve_self_consistent` at a rung whose shared quantities are known."""
     gamma_weak, floor, j_c = rung.gamma_weak, rung.floor, rung.j_c
     # J_peak(Gamma) = coupling / Gamma^2, so coupling is J_peak at unit linewidth
     coupling = peak_phonon_intensity(drive, rung.center, 1.0, material)
 
     gamma = gamma_weak + floor
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
         j_peak = coupling / gamma ** 2
         new_gamma = gamma_weak / suppression_factor(j_peak, j_c) + floor
         residual = abs(new_gamma - gamma) / new_gamma
@@ -276,7 +274,7 @@ def _solve_at(rung: Rung, drive: OpticalDrive, material: MaterialParams, *,
             break
     else:
         raise ConvergenceError(
-            f"(Gamma, J) fixed point not converged after {max_iter} iterations "
+            f"(Gamma, J) fixed point not converged after {FIXED_POINT_MAX_ITER} iterations "
             f"(last relative step {residual:.3e}); parameters are likely unphysical"
         )
     return OperatingPoint(

@@ -506,6 +506,16 @@ class TestGridParsing:
         # counted before any axis is allocated
         with pytest.raises(CliError, match=f"^grid has 4002000 points, more than {MAX_GRID_ROWS}$"):
             parse_grid("T=1:4:2000,J=1:2:2001,f=9e9")
+        for spec, message in [
+            ("T=1,J=1,f", "grid dimension 'f' is not name=values"),
+            ("T=1:4,J=1,f=9e9", "grid dimension 'T': expected value or lo:hi:n[:log]"),
+            ("T=1,J=1:2:3:lin,f=9e9", "grid dimension J: unknown modifier 'lin'"),
+            ("T=1,J=0:2:3:log,f=9e9", "grid dimension J: log spacing needs positive bounds"),
+            ("T=1,J=1,f=-9e9", "grid frequencies must be positive"),
+        ]:
+            with pytest.raises(CliError) as exc:
+                parse_grid(spec)
+            assert str(exc.value) == message
 
 
 class TestCliModel:
@@ -692,6 +702,25 @@ class TestCliSynthFit:
                         assert bits(float(cell)) == bits(value)
         ints = {c for c, v in report["per_bin"][0].items() if isinstance(v, int)}
         assert ints == {"setting_index", "n_traces"}
+
+    def test_fit_config_option(self, workspace, tmp_path):
+        # --config with the synth config fits as the manifest's copy does; a
+        # config that unshares P*gamma^2 changes the report
+        tmp, config_path, data = workspace
+        assert main(["fit", str(data), "--out", str(tmp_path / "manifest")]) == 0
+        assert main(["fit", str(data), "--config", str(config_path),
+                     "--out", str(tmp_path / "option")]) == 0
+        assert tree_digest(tmp_path / "manifest") == tree_digest(tmp_path / "option")
+        doc = json.loads(config_path.read_text())
+        doc["fit"]["shared_p_gamma2"] = False
+        unshared = write_config(tmp_path, doc)
+        assert main(["fit", str(data), "--config", str(unshared),
+                     "--out", str(tmp_path / "unshared")]) == 0
+        shared_rows, unshared_rows = (
+            json.loads((tmp_path / name / "report.json").read_text())["per_temperature"]
+            for name in ("manifest", "unshared"))
+        assert len({row["p_gamma2_j_m3"] for row in shared_rows}) == 1
+        assert len({row["p_gamma2_j_m3"] for row in unshared_rows}) == len(unshared_rows) > 1
 
     def test_fit_rerun_identical(self, workspace, tmp_path):
         tmp, config_path, data = workspace
@@ -1041,6 +1070,36 @@ class TestFailureContract:
         assert main(["fit", str(data), "--out", str(out)]) == 1
         assert "fit units failed" in capsys.readouterr().err
 
+    def test_unreadable_dataset_has_no_fit_units(self, workspace, tmp_path, capsys):
+        # every trace fails to load: one warning each, and the error names
+        # the load failures rather than a share of no fit units
+        tmp, config_path, data = workspace
+        broken = tmp_path / "broken"
+        shutil.copytree(data, broken)
+        for path in broken.glob("trace_*.csv"):
+            path.write_text("x,y\n")
+        capsys.readouterr()
+        assert main(["fit", str(broken), "--out", str(tmp_path / "fit")]) == 1
+        *warnings, last = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 48 and all(w.startswith("warning: trace ") for w in warnings)
+        assert last == "error: no fit units: 48 of 48 traces failed to load"
+        result = run_fit_pipeline([], parse_config(base_doc()))
+        assert result.n_fit_units == 0 and result.failure_fraction == 1.0
+
+    @pytest.mark.parametrize("case", ["synth-without-synth-section", "fit-without-manifest"])
+    def test_missing_input_is_one_error_line(self, tmp_path, capsys, case):
+        if case == "synth-without-synth-section":
+            doc = base_doc()
+            del doc["synth"]
+            argv = ["synth", "--config", str(write_config(tmp_path, doc)),
+                    "--out", str(tmp_path / "data")]
+            message = "config has no 'synth' section"
+        else:
+            argv = ["fit", str(tmp_path), "--out", str(tmp_path / "fit")]
+            message = f"no manifest.json in {tmp_path}"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_noise_only_traces_fail_every_unit(self, tmp_path, capsys):
         # no signal at all: each bin's fit is one noise spike, not a line
         doc = base_doc(seed=7)
@@ -1069,7 +1128,7 @@ class TestPipelineOptions:
 
     def test_per_bin_coupling_skips_a_failed_bin(self):
         # squeezing one bin's intensities below a decade fails only that bin's
-        # saturation fit: the bins after it still pair with their own modes,
+        # saturation fit: the bins after it still carry their own modes,
         # and P*gamma^2 is the median over the fitted bins
         import dataclasses
         doc = base_doc()

@@ -9,6 +9,7 @@ import pytest
 from tlsphonon.config import parse_config
 from tlsphonon.constants import TWO_PI
 from tlsphonon.dissipation import gamma_rel_closed, gamma_res_weak, total_linewidth
+from tlsphonon import synth
 from tlsphonon.sbs import OpticalDrive, brillouin_frequency, stokes_gain, g_b_at_linewidth
 from tlsphonon.synth import (
     MAX_SAMPLES,
@@ -131,10 +132,11 @@ class TestSelfConsistency:
         assert point.peak_intensity == 0.0
         assert point.iterations == 1
 
-    def test_iteration_budget_enforced(self, model):
+    def test_iteration_budget_enforced(self, model, monkeypatch):
         drive = drive_for(model)
-        with pytest.raises(ConvergenceError):
-            solve_self_consistent(1.1, drive, model, max_iter=2)
+        monkeypatch.setattr(synth, "FIXED_POINT_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="not converged after 2 iterations"):
+            solve_self_consistent(1.1, drive, model)
 
 
 class TestTrace:
