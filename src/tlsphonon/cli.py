@@ -8,6 +8,10 @@ Subcommands:
 
 All state comes from the config file and the seed; nothing reads the clock
 or the environment, so repeated runs are byte-identical.
+
+Each command imports the modules it runs when it runs, so ``--version``,
+argument and config errors and ``report`` load neither numpy nor the array
+physics, and ``model`` and ``synth`` load none of the fitting.
 """
 
 from __future__ import annotations
@@ -18,18 +22,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import RunConfig, load_config, parse_config
+from .config import RunConfig, load_config, parse_config, require_key
 from .constants import TWO_PI
-from .dataset import (format_rows, load_dataset, read_manifest, require_key, write_json,
-                      write_manifest, write_spectrum, write_trace)
-from .dissipation import decay_length, q_factor, saturation_floor, total_linewidth
-from .pipeline import TABLE_COLUMNS, render_report_table, run_fit_pipeline
-from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
-from .synth import synth_sweep
-from .tls_core import DriveState, PhononMode
 
 
 class CliError(Exception):
@@ -90,6 +85,8 @@ def parse_grid(spec: str) -> dict:
     rows = math.prod(n for _, _, n, _ in axes.values())
     if rows > MAX_GRID_ROWS:
         raise CliError(f"grid has {rows} points, more than {MAX_GRID_ROWS}")
+    import numpy as np
+
     dims = {name: (np.geomspace if log else np.linspace)(lo, hi, n) if n > 1
             else np.array([lo]) for name, (lo, hi, n, log) in axes.items()}
     if np.any(dims["T"] <= 0):
@@ -110,6 +107,12 @@ MODEL_BLOCK_ROWS = 4096
 
 
 def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
+    import numpy as np
+
+    from .dataset import format_rows
+    from .dissipation import decay_length, q_factor, total_linewidth
+    from .tls_core import DriveState, PhononMode
+
     dims = parse_grid(grid_spec)
     t_ref = config.fit_section().get("t0_k")
     t, j = np.meshgrid(dims["T"], dims["J"], indexing="ij")
@@ -141,6 +144,11 @@ def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
 
 
 def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
+    from .dataset import write_manifest, write_trace
+    from .dissipation import saturation_floor
+    from .sbs import WEAK_SIGNAL_WARN_LEVEL, g_b_at_linewidth, weak_signal_margin
+    from .synth import synth_sweep
+
     plan = config.sweep_plan()
 
     # conservative weak-signal check: the line is narrowest (gain highest)
@@ -164,6 +172,10 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
 
 
 def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
+    from .dataset import format_rows, load_dataset, write_json, write_spectrum
+    from .pipeline import TABLE_COLUMNS, run_fit_pipeline
+    from .report import render_report_table
+
     loaded = load_dataset(dataset_dir)
     traces = [tr for (_, tr, err) in loaded if err is None]
     load_errors = [err for (_, _, err) in loaded if err is not None]
@@ -203,6 +215,8 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
 
 
 def cmd_report(out_dir: Path) -> str:
+    from .report import render_report_table
+
     path = Path(out_dir) / "report.json"
     if not path.exists():
         raise CliError(f"no report.json in {out_dir}; run `fit` first")
@@ -271,6 +285,8 @@ def main(argv=None) -> int:
             if args.config is not None:
                 config = load_config(args.config)
             else:
+                from .dataset import read_manifest
+
                 config = parse_config(require_key(read_manifest(args.dataset), "config",
                                                   args.dataset / "manifest.json"))
             return cmd_fit(config, args.dataset, args.out)

@@ -10,6 +10,12 @@ module the config's, :mod:`tlsphonon.dataset` a trace's detuning axis and
 pump frequency, and the ``fit`` and ``model`` writers their results. Each
 range is checked once, by the value type the number goes into; only the
 seed and the ``fit`` numbers, which go into none, are checked here.
+
+The plan types a config resolves into, :class:`ForwardModel` and
+:class:`SweepPlan`, live here too. This module and everything it imports
+are plain ``math``, so parsing a config, and the commands that only parse
+one (``report``, and any command given a bad config), load no numpy; the
+forward model imports its physics when it is evaluated.
 """
 
 from __future__ import annotations
@@ -17,13 +23,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
-from .constants import EV, TWO_PI
-from .dissipation import jc_t1t2
-from .synth import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, RUNG_STEP_K, ForwardModel, SweepPlan
-from .tls_core import MaterialParams, RelaxationTimes, TLSEnsemble, get_preset, preset_names
+from .constants import C_LIGHT, EV, TWO_PI
+from .sbs import OpticalDrive, brillouin_frequency
+from .tls_core import (MaterialParams, PhononMode, RelaxationTimes, TLSEnsemble,
+                       _require_positive, get_preset, jc_t1t2, preset_names)
+
+RUNG_STEP_K = 0.1          # the acquisition protocol is phrased per 100 mK
+MAX_RUNGS = 10_000
+MAX_TRACES = 1_000_000     # rungs x settings x repeats
+MAX_SAMPLES = 100_000_000  # traces x detuning points
+DEFAULT_POINTS = 401
+DEFAULT_SPAN_FWHM = 10.0   # grid reaches +-10 expected linewidths
 
 # (required keys, optional keys) of each object in a config document
 _TOP_KEYS = (("material", "ensemble", "jc_source", "seed"), ("synth", "fit"))
@@ -89,6 +103,124 @@ def _boolean(doc: dict, path: str, default=None) -> bool:
     if not isinstance(value, bool):
         raise _invalid(path, "must be true or false", value)
     return value
+
+
+def require_key(doc, key: str, path: Path):
+    """``doc[key]``, or a ValueError naming the file ``doc`` came from and the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return doc[key]
+
+
+@dataclass(frozen=True)
+class ForwardModel:
+    """Everything the synthesizer and ``model`` need to evaluate the physics.
+
+    :meth:`j_c` evaluates the ensemble's critical-intensity law J_c = a T^b;
+    :func:`parse_config` writes every J_c source of a run into that law.
+    ``drift_reference_k`` turns on the resonant frequency drift of the line
+    center relative to that temperature. Both methods import the closed
+    forms of :mod:`tlsphonon.dissipation` when called.
+    """
+
+    material: MaterialParams
+    ensemble: TLSEnsemble
+    pump_wavelength: float = 1548.963e-9
+    drift_reference_k: Optional[float] = None
+
+    def __post_init__(self):
+        _require_positive(pump_wavelength=self.pump_wavelength)
+        if self.ensemble.jc_power_law is None:
+            raise ValueError("no critical-intensity source configured: "
+                             "the ensemble has no J_c power law")
+
+    @property
+    def pump_omega(self) -> float:
+        return TWO_PI * C_LIGHT / self.pump_wavelength
+
+    def j_c(self, temperature):
+        """Critical intensity [W/m^2] of the longitudinal mode at ``temperature``
+        (a scalar or an array)."""
+        from .dissipation import critical_intensity
+
+        return critical_intensity(self.material, temperature, ensemble=self.ensemble)
+
+    def line_center(self, temperature: float) -> float:
+        """Acoustic resonance frequency at this temperature [rad/s]."""
+        omega0 = brillouin_frequency(self.material, self.pump_omega)
+        if self.drift_reference_k is None:
+            return omega0
+        from .dissipation import freq_shift_res
+
+        mode = PhononMode.in_material(self.material, omega0, "L")
+        return omega0 + freq_shift_res(mode, temperature, self.drift_reference_k,
+                                       self.material, self.ensemble)
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """A warm-up campaign: temperature ladder x power settings x repeats.
+
+    ``drives`` holds one :class:`~tlsphonon.sbs.OpticalDrive` per power
+    setting, in the order of ``power_settings``; every acquisition at a
+    setting shares its drive. :func:`tlsphonon.synth.plan_acquisitions`
+    expands the plan into its traces.
+    """
+
+    t_start: float
+    t_end: float
+    traces_per_100mk: int
+    power_settings: Sequence[Tuple[float, float]]
+    noise_sigma: float
+    model: ForwardModel
+    base_seed: int = 0
+    detuning_points: int = DEFAULT_POINTS
+    detuning_span: float = DEFAULT_SPAN_FWHM
+    drives: Tuple[OpticalDrive, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.t_start < self.t_end:
+            raise ValueError("need t_start < t_end")
+        _require_positive(t_start=self.t_start, t_end=self.t_end,
+                          detuning_span=self.detuning_span)
+        rungs = (self.t_end - self.t_start) / RUNG_STEP_K
+        if rungs > MAX_RUNGS:
+            raise ValueError(f"the ladder has {rungs:.0f} rungs, more than {MAX_RUNGS}")
+        if self.traces_per_100mk < 1:
+            raise ValueError("traces_per_100mk must be positive")
+        if not self.power_settings:
+            raise ValueError("at least one power setting required")
+        object.__setattr__(self, "drives", tuple(
+            OpticalDrive(pump_power=pump, stokes_power=stokes,
+                         pump_omega=self.model.pump_omega,
+                         fiber_length=self.model.material.l_fut)
+            for pump, stokes in self.power_settings))
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.detuning_points < 7:
+            raise ValueError("detuning grid too coarse to resolve a line")
+        # checked before plan_acquisitions lists a trace or allocates a grid
+        traces = (len(self.rung_temperatures()) * len(self.power_settings)
+                  * self.traces_per_100mk)
+        if traces > MAX_TRACES:
+            raise ValueError(f"the campaign has {traces} traces, more than {MAX_TRACES}")
+        samples = traces * self.detuning_points
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"the campaign has {samples} samples, more than {MAX_SAMPLES}")
+
+    def rung_temperatures(self) -> List[float]:
+        """Ladder rungs, one per 100 mK bin, sitting at the bin centers."""
+        rungs = []
+        k = 0
+        while True:
+            t = self.t_start + (k + 0.5) * RUNG_STEP_K
+            if t >= self.t_end:
+                break
+            rungs.append(t)
+            k += 1
+        if not rungs:
+            raise ValueError("temperature range shorter than one 100 mK step")
+        return rungs
 
 
 @dataclass(frozen=True)

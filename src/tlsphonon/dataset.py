@@ -39,6 +39,7 @@ from typing import List, Optional
 import numpy as np
 import orjson
 
+from .config import require_key
 from .constants import TWO_PI
 from .sbs import OpticalDrive
 from .synth import BGSTrace
@@ -234,13 +235,6 @@ def write_manifest(directory: Path, entries: List[dict], config_doc: dict,
         "traces": entries,
     }
     write_json(Path(directory) / "manifest.json", doc)
-
-
-def require_key(doc, key: str, path: Path):
-    """``doc[key]``, or a ValueError naming the file ``doc`` came from and the key."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"{path}: missing key {key!r}")
-    return doc[key]
 
 
 def read_manifest(directory: Path) -> dict:

@@ -32,6 +32,7 @@ from .tls_core import (
     TLSEnsemble,
     _require_positive,
     channel_sum,
+    jc_t1t2,
 )
 
 # Resonant/relaxation absorption is a low-temperature theory; above this the
@@ -81,13 +82,6 @@ def gamma_res_weak(
             * np.tanh(HBAR * mode.omega / (2.0 * KB * temperature)))
 
 
-def jc_t1t2(material: MaterialParams, ensemble: TLSEnsemble, polarization: str) -> float:
-    """J_c T1 T2 = hbar^2 rho v^3 / (2 gamma^2) [W s^2/m^2]."""
-    gamma = ensemble.deformation_potential(polarization)
-    v = material.sound_speed(polarization)
-    return HBAR ** 2 * material.rho * v ** 3 / (2.0 * gamma ** 2)
-
-
 def critical_intensity(
     material: MaterialParams,
     temperature: float,
@@ -98,9 +92,9 @@ def critical_intensity(
 ) -> float:
     """Acoustic intensity J_c [W/m^2] at which resonant absorption drops by sqrt(2).
 
-    From relaxation times: J_c = :func:`jc_t1t2` / (T1 T2); otherwise
-    falls back to the ensemble's empirical power law J_c = a T^b. Exactly one
-    source must be available.
+    From relaxation times: J_c = :func:`~tlsphonon.tls_core.jc_t1t2` / (T1 T2);
+    otherwise falls back to the ensemble's empirical power law J_c = a T^b.
+    Exactly one source must be available.
     """
     _require_positive(temperature=temperature)
     if times is not None:
@@ -222,9 +216,9 @@ def total_linewidth(
     element-wise over a grid of them when ``drive`` holds arrays.
 
     total = gamma_res(J) + gamma_rel(T) + gamma_bg. The critical intensity
-    is ``j_c`` (a run's comes from ``ForwardModel.j_c``), else the ensemble's
-    power law. ``t_ref`` selects the reference temperature of the reported
-    frequency shift (0.0 if omitted).
+    is ``j_c`` (a run's comes from :meth:`tlsphonon.config.ForwardModel.j_c`),
+    else the ensemble's power law. ``t_ref`` selects the reference
+    temperature of the reported frequency shift (0.0 if omitted).
 
     Saturates toward the floor gamma_rel + gamma_bg as J -> infinity.
     """

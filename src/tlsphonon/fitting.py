@@ -42,12 +42,11 @@ from .dissipation import (
     gamma_rel_closed,
     gamma_res_strong,
     gamma_res_weak,
-    jc_t1t2,
     suppression_factor,
 )
 from .sbs import lorentzian_profile
 from .synth import BGSTrace
-from .tls_core import MaterialParams, PhononMode, TLSEnsemble, min_lifetime
+from .tls_core import MaterialParams, PhononMode, TLSEnsemble, jc_t1t2, min_lifetime
 
 MAX_FIT_EVALS = 500
 XTOL = 1e-10  # relative step length at which a fit has converged
@@ -559,7 +558,7 @@ def extract_times(sat: SaturationFit, material: MaterialParams,
     """Relaxation times from a fitted critical intensity, at the fit's own
     bin: its mode and temperature.
 
-    T1 T2 = :func:`~tlsphonon.dissipation.jc_t1t2` / J_c; T1 is estimated as
+    T1 T2 = :func:`~tlsphonon.tls_core.jc_t1t2` / J_c; T1 is estimated as
     the minimum TLS lifetime at the probed splitting, and T2 follows from the
     product.
     """

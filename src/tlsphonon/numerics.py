@@ -1,41 +1,15 @@
-"""Shared special functions of the closed forms.
+"""The digamma function entering the sound-velocity shift.
 
-The digamma function entering the sound-velocity shift, and numerically
-stable hyperbolics for thermal factors at millikelvin temperatures. The
-digamma is an in-house numpy kernel (recurrence plus Stirling series), so
-the commands that evaluate a frequency shift load no scipy module. The
-quadrature that checks the closed forms lives in :mod:`tlsphonon.oracles`.
+An in-house numpy kernel (recurrence plus Stirling series), so the commands
+that evaluate a frequency shift load no scipy module. The elementary
+functions of the closed forms, coth and the unit Lorentzian, are plain
+arithmetic in :mod:`tlsphonon.tls_core`, and the quadrature that checks the
+closed forms lives in :mod:`tlsphonon.oracles`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-# ---------------------------------------------------------------------------
-# stable hyperbolics
-# ---------------------------------------------------------------------------
-
-def coth(x: float) -> float:
-    """Hyperbolic cotangent, safe over the full float range.
-
-    math.tanh saturates to +-1 for |x| > ~19 without overflow, so 1/tanh
-    needs no clamping; for |x| down to ~1e-300 the 1/x growth stays finite.
-    """
-    if x == 0.0:
-        raise ValueError("coth(0) diverges")
-    return 1.0 / math.tanh(x)
-
-
-def unit_lorentzian(x):
-    """1 / (1 + x^2), the Lorentzian of unit peak and half-width; float or array."""
-    return 1.0 / (1.0 + x * x)
-
-
-# ---------------------------------------------------------------------------
-# digamma
-# ---------------------------------------------------------------------------
 
 # psi(z) = psi(z + n) - sum_{k<n} 1/(z + k) (A&S 6.3.5) lifts |z| to where the
 # Stirling series (A&S 6.3.18) converges to double precision; a shift of 8

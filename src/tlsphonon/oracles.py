@@ -23,7 +23,6 @@ from scipy.integrate import quad
 
 from .constants import HBAR, KB
 from .dissipation import critical_intensity, shift_scale, suppression_factor
-from .numerics import coth, unit_lorentzian
 from .tls_core import (
     DriveState,
     MaterialParams,
@@ -33,7 +32,9 @@ from .tls_core import (
     TLSState,
     _rate_prefactor,
     _require_positive,
+    coth,
     tls_energy,
+    unit_lorentzian,
 )
 
 

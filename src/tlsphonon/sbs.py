@@ -8,7 +8,8 @@ intra-fiber phonon intensity follows the optical powers, which is how the
 experimentalist dials the acoustic drive without touching the sample. A
 drive is therefore one power setting. The detuning is the spectrum's axis,
 swept by the synthesizer, so the gain and intensity profiles take it as an
-argument.
+argument. A drive and its scalar figures are plain ``math``, so a config
+builds its drives without numpy; the profiles load it when called.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import C_LIGHT
-from .numerics import unit_lorentzian
-from .tls_core import MaterialParams, _require_positive
+from .tls_core import MaterialParams, _require_positive, unit_lorentzian
 
 WEAK_SIGNAL_WARN_LEVEL = 0.1  # g_B P_p L above this is no longer "weak"
 
@@ -62,6 +60,8 @@ def brillouin_frequency(
 
 def lorentzian_profile(omega_im, center: float, gamma: float):
     """Unit-peak Lorentzian (Gamma/2)^2 / ((center - omega_im)^2 + (Gamma/2)^2)."""
+    import numpy as np
+
     return unit_lorentzian((center - np.asarray(omega_im, dtype=float)) / (gamma / 2.0))
 
 
@@ -120,6 +120,8 @@ def phonon_intensity(
     over decades; at fixed gain-linewidth product the peak intensity grows
     as 1/Gamma when the line narrows.
     """
+    import numpy as np
+
     _require_positive(omega_ac=omega_ac, gamma=gamma, g_b_peak=g_b_peak)
     omega_im = np.asarray(omega_im, dtype=float)
     v = material.sound_speed("L")

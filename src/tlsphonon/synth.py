@@ -12,91 +12,32 @@ axis is synthesizer-set and exact).
 At each rung the dissipation rate and the acoustic intensity are mutually
 dependent (the drive narrows the line, the narrower line amplifies the
 drive), so the pair is solved self-consistently at line center and the
-emitted spectrum is the exact Lorentzian for that operating point.
+emitted spectrum is the exact Lorentzian for that operating point. The
+plan a campaign is expanded from, :class:`~tlsphonon.config.SweepPlan`, and
+its :class:`~tlsphonon.config.ForwardModel` are the config's types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import C_LIGHT, TWO_PI
-from .dissipation import (
-    critical_intensity,
-    freq_shift_res,
-    gamma_res_weak,
-    saturation_floor,
-    suppression_factor,
-)
-from .sbs import (
-    OpticalDrive,
-    brillouin_frequency,
-    g_b_at_linewidth,
-    peak_phonon_intensity,
-    stokes_gain,
-)
-from .tls_core import (
-    MaterialParams,
-    PhononMode,
-    TLSEnsemble,
-    _require_positive,
-)
+from .config import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, ForwardModel, SweepPlan
+from .dissipation import gamma_res_weak, saturation_floor, suppression_factor
+from .sbs import OpticalDrive, g_b_at_linewidth, peak_phonon_intensity, stokes_gain
+from .tls_core import MaterialParams, PhononMode, _require_positive
 
-RUNG_STEP_K = 0.1          # the acquisition protocol is phrased per 100 mK
-MAX_RUNGS = 10_000
-MAX_TRACES = 1_000_000     # rungs x settings x repeats
-MAX_SAMPLES = 100_000_000  # traces x detuning points
-DEFAULT_POINTS = 401
-DEFAULT_SPAN_FWHM = 10.0   # grid reaches +-10 expected linewidths
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 200
 
 
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration for the (Gamma, J) operating point stalled."""
-
-
-@dataclass(frozen=True)
-class ForwardModel:
-    """Everything the synthesizer and ``model`` need to evaluate the physics.
-
-    :meth:`j_c` evaluates the ensemble's critical-intensity law J_c = a T^b;
-    :func:`~tlsphonon.config.parse_config` writes every J_c source of a run
-    into that law. ``drift_reference_k`` turns on the resonant frequency
-    drift of the line center relative to that temperature.
-    """
-
-    material: MaterialParams
-    ensemble: TLSEnsemble
-    pump_wavelength: float = 1548.963e-9
-    drift_reference_k: Optional[float] = None
-
-    def __post_init__(self):
-        _require_positive(pump_wavelength=self.pump_wavelength)
-        if self.ensemble.jc_power_law is None:
-            raise ValueError("no critical-intensity source configured: "
-                             "the ensemble has no J_c power law")
-
-    @property
-    def pump_omega(self) -> float:
-        return TWO_PI * C_LIGHT / self.pump_wavelength
-
-    def j_c(self, temperature):
-        """Critical intensity [W/m^2] of the longitudinal mode at ``temperature``
-        (a scalar or an array)."""
-        return critical_intensity(self.material, temperature, ensemble=self.ensemble)
-
-    def line_center(self, temperature: float) -> float:
-        """Acoustic resonance frequency at this temperature [rad/s]."""
-        omega0 = brillouin_frequency(self.material, self.pump_omega)
-        if self.drift_reference_k is None:
-            return omega0
-        mode = PhononMode.in_material(self.material, omega0, "L")
-        return omega0 + freq_shift_res(mode, temperature, self.drift_reference_k,
-                                       self.material, self.ensemble)
+class ConvergenceError(ValueError):
+    """Fixed-point iteration for the (Gamma, J) operating point stalled: the
+    configured parameters admit no operating point, so, like any other bad
+    input, the command reports it as one ``error:`` line."""
 
 
 @dataclass(frozen=True)
@@ -130,70 +71,6 @@ class BGSTrace:
         if not np.all(np.isfinite(gain)):
             raise ValueError("gain samples must be finite")
         _require_positive(temperature=self.temperature)
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """A warm-up campaign: temperature ladder x power settings x repeats.
-
-    ``drives`` holds one :class:`OpticalDrive` per power setting, in the order
-    of ``power_settings``; every acquisition at a setting shares its drive.
-    """
-
-    t_start: float
-    t_end: float
-    traces_per_100mk: int
-    power_settings: Sequence[Tuple[float, float]]
-    noise_sigma: float
-    model: ForwardModel
-    base_seed: int = 0
-    detuning_points: int = DEFAULT_POINTS
-    detuning_span: float = DEFAULT_SPAN_FWHM
-    drives: Tuple[OpticalDrive, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.t_start < self.t_end:
-            raise ValueError("need t_start < t_end")
-        _require_positive(t_start=self.t_start, t_end=self.t_end,
-                          detuning_span=self.detuning_span)
-        rungs = (self.t_end - self.t_start) / RUNG_STEP_K
-        if rungs > MAX_RUNGS:
-            raise ValueError(f"the ladder has {rungs:.0f} rungs, more than {MAX_RUNGS}")
-        if self.traces_per_100mk < 1:
-            raise ValueError("traces_per_100mk must be positive")
-        if not self.power_settings:
-            raise ValueError("at least one power setting required")
-        object.__setattr__(self, "drives", tuple(
-            OpticalDrive(pump_power=pump, stokes_power=stokes,
-                         pump_omega=self.model.pump_omega,
-                         fiber_length=self.model.material.l_fut)
-            for pump, stokes in self.power_settings))
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if self.detuning_points < 7:
-            raise ValueError("detuning grid too coarse to resolve a line")
-        # checked before plan_acquisitions lists a trace or allocates a grid
-        traces = (len(self.rung_temperatures()) * len(self.power_settings)
-                  * self.traces_per_100mk)
-        if traces > MAX_TRACES:
-            raise ValueError(f"the campaign has {traces} traces, more than {MAX_TRACES}")
-        samples = traces * self.detuning_points
-        if samples > MAX_SAMPLES:
-            raise ValueError(f"the campaign has {samples} samples, more than {MAX_SAMPLES}")
-
-    def rung_temperatures(self) -> List[float]:
-        """Ladder rungs, one per 100 mK bin, sitting at the bin centers."""
-        rungs = []
-        k = 0
-        while True:
-            t = self.t_start + (k + 0.5) * RUNG_STEP_K
-            if t >= self.t_end:
-                break
-            rungs.append(t)
-            k += 1
-        if not rungs:
-            raise ValueError("temperature range shorter than one 100 mK step")
-        return rungs
 
 
 @dataclass(frozen=True)

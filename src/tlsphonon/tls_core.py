@@ -7,9 +7,15 @@ level splitting E = sqrt(delta^2 + delta0^2); an ensemble of them, with the
 standard flat distribution in (delta, ln delta0), couples to elastic strain
 and absorbs or emits phonons. This module holds the value types shared by
 the whole package and the single-TLS quantities the closed forms use: the
-level splitting, the one-phonon decay rate and the minimum lifetime. The
-eigenstates, thermal inversion and level-resolved rates, which only the
-checks use, are in :mod:`tlsphonon.oracles`.
+level splitting, the one-phonon decay rate and the minimum lifetime, the
+product J_c T1 T2 that ties the critical intensity to the relaxation times,
+and the elementary functions coth and the unit Lorentzian. The eigenstates,
+thermal inversion and level-resolved rates, which only the checks use, are
+in :mod:`tlsphonon.oracles`.
+
+Every scalar here is plain ``math``, so the config layer loads no numpy;
+only an array argument, which means numpy is loaded already, and
+:class:`DriveState` reach for it.
 """
 
 from __future__ import annotations
@@ -18,24 +24,26 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .constants import EV, HBAR, KB, TWO_PI
-from .numerics import coth
 
 _POLARIZATIONS = ("L", "T")
 
 
 def _require_positive(**kwargs):
-    """Reject any value, or any element of an array value, that is not finite and > 0."""
+    """Reject any value, or any element of an array value, that is not finite and > 0.
+
+    A bool is not a number here, so True is rejected like any value <= 0.
+    """
     for name, value in kwargs.items():
-        # floats (numpy scalars included) skip the array check: it costs ~4 us,
-        # and a campaign validates ~20k scalars
-        if isinstance(value, float):
-            if 0.0 < value < math.inf:
+        # ints and floats (numpy float scalars included) skip the array check:
+        # it costs ~4 us and needs numpy, and a campaign validates ~20k scalars
+        if isinstance(value, (int, float)):
+            if not isinstance(value, bool) and 0.0 < value < math.inf:
                 continue
             got = repr(value)
         else:
+            import numpy as np
+
             values = np.asarray(value)
             bad = ~(np.isfinite(values) & (values > 0.0))
             if not bad.any():
@@ -192,6 +200,8 @@ class DriveState:
     drive_omega: float
 
     def __post_init__(self):
+        import numpy as np
+
         _require_positive(temperature=self.temperature, drive_omega=self.drive_omega)
         intensity = np.asarray(self.intensity)
         if not (np.isfinite(intensity) & (intensity >= 0.0)).all():
@@ -213,6 +223,22 @@ class RelaxationTimes:
 # operations
 # ---------------------------------------------------------------------------
 
+def coth(x: float) -> float:
+    """Hyperbolic cotangent, safe over the full float range.
+
+    math.tanh saturates to +-1 for |x| > ~19 without overflow, so 1/tanh
+    needs no clamping; for |x| down to ~1e-300 the 1/x growth stays finite.
+    """
+    if x == 0.0:
+        raise ValueError("coth(0) diverges")
+    return 1.0 / math.tanh(x)
+
+
+def unit_lorentzian(x):
+    """1 / (1 + x^2), the Lorentzian of unit peak and half-width; float or array."""
+    return 1.0 / (1.0 + x * x)
+
+
 def tls_energy(state: TLSState) -> float:
     """Level splitting E = sqrt(delta^2 + delta0^2) [J]."""
     return math.hypot(state.delta, state.delta0)
@@ -222,6 +248,14 @@ def channel_sum(material: MaterialParams, ensemble: TLSEnsemble) -> float:
     """sum_eta gamma_eta^2 / v_eta^5 over the L and T phonon branches."""
     return (ensemble.gamma_l ** 2 / material.v_l ** 5
             + ensemble.gamma_t ** 2 / material.v_t ** 5)
+
+
+def jc_t1t2(material: MaterialParams, ensemble: TLSEnsemble, polarization: str) -> float:
+    """J_c T1 T2 = hbar^2 rho v^3 / (2 gamma^2) [W s^2/m^2]; a config's ``times``
+    source and the fits' time extraction divide it by T1 T2 or by J_c."""
+    gamma = ensemble.deformation_potential(polarization)
+    v = material.sound_speed(polarization)
+    return HBAR ** 2 * material.rho * v ** 3 / (2.0 * gamma ** 2)
 
 
 def _rate_prefactor(material: MaterialParams, ensemble: TLSEnsemble) -> float:

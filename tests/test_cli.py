@@ -32,10 +32,10 @@ from tlsphonon.constants import TWO_PI
 from tlsphonon.dataset import (_parse_lines, _parse_rows, format_rows, load_dataset,
                                read_manifest, read_trace, write_manifest, write_spectrum,
                                write_trace)
-from tlsphonon.dissipation import decay_length, jc_t1t2, q_factor, total_linewidth
+from tlsphonon.dissipation import decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import bin_traces, synth_sweep
-from tlsphonon.tls_core import DriveState, PhononMode
+from tlsphonon.tls_core import DriveState, PhononMode, jc_t1t2
 
 
 def base_doc(**overrides):
@@ -902,6 +902,60 @@ class TestCliSynthFit:
         assert seen == [["import", []], ["model", []], ["model", []], ["synth", []],
                         ["report", []], ["synth", []], ["fit", []]]
 
+    # runs `python -m tlsphonon.cli ARGS` (or, without ARGS, only imports it) and
+    # writes the names in sys.modules at exit to the file given first
+    MODULES_AT_EXIT = (
+        "import atexit, json, runpy, sys\n"
+        "out = sys.argv.pop(1)\n"
+        "def dump():\n"
+        "    with open(out, 'w') as fh:\n"
+        "        json.dump(sorted(sys.modules), fh)\n"
+        "atexit.register(dump)\n"
+        "if len(sys.argv) == 1:\n"
+        "    import tlsphonon.cli\n"
+        "else:\n"
+        "    runpy.run_module('tlsphonon.cli', run_name='__main__', alter_sys=True)\n"
+    )
+
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        # Every command is a fresh process, and numpy with the array physics
+        # is most of a short one's time: the config layer, --version and
+        # report need none of it, and model and synth none of the fitting.
+        config_path = write_config(tmp_path, base_doc())
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps(edited(base_doc(), ("synth", "noise_sigma_w"), -1.0)))
+        data, fit = tmp_path / "data", tmp_path / "fit"
+        commands = {  # label -> (arguments, exit code)
+            "import": ([], 0),
+            "--version": (["--version"], 0),
+            "bad-config": (["synth", "--config", str(bad_config), "--out", str(data)], 2),
+            "model": (["model", "--config", str(config_path), "--out", str(tmp_path / "model"),
+                       "--grid", "T=1.1:4.2:3,J=1e-2:1e2:3:log,f=9.188e9"], 0),
+            "synth": (["synth", "--config", str(config_path), "--out", str(data)], 0),
+            "fit": (["fit", str(data), "--out", str(fit)], 0),
+            "report": (["report", "--out", str(fit)], 0),
+        }
+        loaded = {}
+        for label, (argv, code) in commands.items():
+            modules = tmp_path / f"modules{len(loaded)}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", self.MODULES_AT_EXIT, str(modules), *argv],
+                env=src_env(), capture_output=True, text=True, timeout=60)
+            assert proc.returncode == code, (label, proc.stderr)
+            loaded[label] = json.loads(modules.read_text())
+
+        def found(labels, test):
+            return {label: [m for m in loaded[label] if test(m)] for label in labels}
+
+        light = ("import", "--version", "bad-config", "report")
+        assert found(light, lambda m: m.partition(".")[0] == "numpy") == dict.fromkeys(light, [])
+        fitting = ("tlsphonon.fitting", "tlsphonon.pipeline")
+        assert found(("model", "synth"), fitting.__contains__) == {"model": [], "synth": []}
+        assert found(commands, lambda m: m.partition(".")[0] in ("scipy", "jsonschema")
+                     or m == "tlsphonon.oracles") == dict.fromkeys(commands, [])
+        # the commands that run the physics do load it
+        assert "numpy" in loaded["model"] and "tlsphonon.fitting" in loaded["fit"]
+
     def test_report_requires_fit(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "report.json" in capsys.readouterr().err
@@ -1001,6 +1055,23 @@ class TestFailureContract:
             preexec_fn=limit_memory)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "data").exists()
+
+    def test_unconverged_operating_point_is_one_error_line(self, tmp_path):
+        # with J_c = 4 W/m^2 the vitreous-silica line admits no (Gamma, J) fixed
+        # point: bad input like any other, so no traceback and exit 2
+        doc = base_doc(material="vitreous-silica", ensemble="vitreous-silica",
+                       jc_source={"type": "explicit", "jc_w_m2": 4.0}, seed=3)
+        doc["synth"].update(t_end_k=4.2, traces_per_100mk=1, noise_sigma_w=1e-10)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tlsphonon.cli", "synth",
+             "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "data")],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        *warnings, last = proc.stderr.splitlines()
+        assert all(w.startswith("warning: power setting ") for w in warnings)
+        assert last.startswith("error: (Gamma, J) fixed point not converged after 200 iterations")
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("case", ["synth-out-is-a-file", "model-config-is-a-directory",

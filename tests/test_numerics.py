@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tlsphonon.numerics import coth, digamma_half_plus_imag
+from tlsphonon.numerics import digamma_half_plus_imag
 from tlsphonon.oracles import (
     QuadratureError,
     QuadratureResult,
@@ -15,6 +15,7 @@ from tlsphonon.oracles import (
     quad_adaptive,
     sech_squared,
 )
+from tlsphonon.tls_core import coth
 
 EULER_GAMMA = 0.5772156649015328606
 

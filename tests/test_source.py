@@ -1,13 +1,17 @@
 """The README's library example runs as written; no module keeps an unused
-import; only the oracles import scipy, and no module imports the oracles."""
+import; only the oracles import scipy, and no module imports the oracles;
+the package's public names resolve to their submodules' on first use."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
 
 import pytest
+
+import tlsphonon
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tlsphonon"
@@ -39,10 +43,8 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(path):
-    # __init__.py is skipped: its imports are the package's re-exports
     assert unused_imports((PACKAGE / path).read_text(encoding="utf-8")) == []
 
 
@@ -90,3 +92,13 @@ def test_imported_modules_are_found():
               "def f():\n    from .numerics import coth\n")
     assert imported_modules(source) == {"scipy.integrate", ".", ".oracles",
                                         ".numerics", ".numerics.coth"}
+
+
+def test_package_names_load_on_first_use():
+    assert "__version__" in dir(tlsphonon)
+    for name, submodule in tlsphonon._SUBMODULE_OF.items():
+        module = importlib.import_module(f"tlsphonon.{submodule}")
+        assert getattr(tlsphonon, name) is getattr(module, name)
+        assert name in dir(tlsphonon)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        tlsphonon.no_such_name

@@ -6,18 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from tlsphonon.config import parse_config
+from tlsphonon.config import MAX_SAMPLES, MAX_TRACES, ForwardModel, SweepPlan, parse_config
 from tlsphonon.constants import TWO_PI
 from tlsphonon.dissipation import gamma_rel_closed, gamma_res_weak, total_linewidth
 from tlsphonon import synth
 from tlsphonon.sbs import OpticalDrive, brillouin_frequency, stokes_gain, g_b_at_linewidth
 from tlsphonon.synth import (
-    MAX_SAMPLES,
-    MAX_TRACES,
     BGSTrace,
     ConvergenceError,
-    ForwardModel,
-    SweepPlan,
     bin_traces,
     plan_acquisitions,
     solve_self_consistent,

@@ -259,6 +259,12 @@ class TestTypes:
         explicit = TLSEnsemble(p=1e45, gamma_l=8e-20, gamma_t=5e-20)
         assert explicit.gamma_t == 5e-20
 
+    def test_bool_is_not_a_positive_number(self):
+        # True > 0 holds, but a flag is no density; the int that bool subclasses is a number
+        with pytest.raises(ValueError, match=r"^p must be finite and > 0, got True$"):
+            TLSEnsemble(p=True, gamma_l=1.0)
+        assert TLSEnsemble(p=1, gamma_l=1.0).p == 1
+
     def test_phonon_mode_consistency(self, ge_doped):
         material, _ = ge_doped
         mode = PhononMode.in_material(material, TWO_PI * 9.188e9, "L")
