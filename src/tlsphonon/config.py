@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -54,8 +55,8 @@ _SYNTH_KEYS = (("t_start_k", "t_end_k", "traces_per_100mk", "power_settings_w",
                 "noise_sigma_w"),
                ("detuning_points", "detuning_span_fwhm", "pump_wavelength_m", "center_drift"))
 # fit keys' values when omitted; no t0_k anchors the drift at the first bin
-FIT_DEFAULTS = {"bin_width_k": RUNG_STEP_K, "shared_p_gamma2": True, "weighted": False}
-_FIT_KEYS = ((), (*FIT_DEFAULTS, "t0_k"))
+FIT_DEFAULTS = {"bin_width_k": RUNG_STEP_K, "shared_p_gamma2": True}
+_FIT_KEYS = ((), (*FIT_DEFAULTS, "weighted", "t0_k"))
 
 
 def _invalid(path: str, requirement: str, value) -> ValueError:
@@ -77,7 +78,9 @@ def _section(doc, name: str, keys) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that float() converts: no bool, no int beyond a double's range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
 def _number(doc: dict, path: str, default=None):
@@ -331,8 +334,9 @@ def parse_config(doc: dict) -> RunConfig:
     if "synth" in doc:
         _section(doc["synth"], "synth", _SYNTH_KEYS)
     fit = {**FIT_DEFAULTS, **_section(doc.get("fit", {}), "fit", _FIT_KEYS)}
-    for key in ("shared_p_gamma2", "weighted"):
-        _boolean(fit, f"fit.{key}")
+    _boolean(fit, "fit.shared_p_gamma2")
+    if not _boolean(fit, "fit.weighted", True):
+        raise _invalid("fit.weighted", "must be true: every saturation fit is weighted", False)
     for key in ("bin_width_k", "t0_k"):
         if key in fit and not 0.0 < _number(fit, f"fit.{key}") < math.inf:
             raise _invalid(f"fit.{key}", "must be finite and > 0", fit[key])

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -198,10 +198,11 @@ def fit_lorentzian(trace: BGSTrace) -> LorentzianFit:
     flat trace; the noise scale is the median absolute deviation of
     successive differences over sqrt(2)), a fitted FWHM under the mean
     detuning step (one noise spike), a fitted peak under 5 times its own
-    sigma (noise that a wide line happens to fit), and a fitted line center
-    that is not > 0 (a detuning axis shifted through zero). The residual
-    norm is in the units of the gain [W]. A bin's samples share one noise
-    level, so weighting them would change neither the fit nor its covariance.
+    sigma (noise that a wide line happens to fit), a fitted line center
+    that is not > 0 (a detuning axis shifted through zero), and a FWHM sigma
+    that is not > 0 (no residual, so no saturation weight). The residual norm
+    is in W, the gain's unit. A bin's samples share one noise level, so
+    weighting them would change neither the fit nor its covariance.
     """
     x = np.asarray(trace.detuning_grid, dtype=float)
     y = np.asarray(trace.gain, dtype=float)
@@ -265,6 +266,8 @@ def fit_lorentzian(trace: BGSTrace) -> LorentzianFit:
                        f"5 times its sigma {fit.peak_sigma:.3g} W")
     if not fit.omega_hat > 0.0:
         raise FitError(f"fitted line center {fit.omega_hat / TWO_PI:.6g} Hz is not > 0")
+    if not fit.gamma_sigma > 0.0:
+        raise FitError(f"fitted FWHM sigma {fit.gamma_sigma:.3g} rad/s is not > 0")
     return fit
 
 
@@ -371,12 +374,12 @@ def _saturation_start(j, g, unit_rate: float) -> Tuple[float, float, float]:
             max(gamma0, 1e-3 * float(np.max(g) - np.min(g))))
 
 
-def _saturation_problem(bins, material: MaterialParams, sigmas):
-    """``(model, scale)`` of the least squares over the (J, Gamma) points of
-    all bins: a shared P gamma^2 plus a J_c and a Gamma0 per bin, each scaled
-    by its :func:`_saturation_start` value, P gamma^2 by the median of the
-    bins'. ``model(p)`` returns the (weighted) residual of
-    :func:`saturation_rate` at ``p * scale`` and its Jacobian in ``p``.
+def _saturation_problem(bins, material: MaterialParams):
+    """``(model, scale)`` of the least squares over the (J, Gamma, sigma)
+    points of all bins: a shared P gamma^2 plus a J_c and a Gamma0 per bin,
+    each scaled by its :func:`_saturation_start` value, P gamma^2 by the
+    median of the bins'. ``model(p)`` returns (rate - Gamma) / sigma, with
+    the :func:`saturation_rate` at ``p * scale``, and its Jacobian in ``p``.
 
     The rate is linear in P gamma^2, so the residual is P gamma^2 times the
     weak rate at unit coupling, u, evaluated once per point, over
@@ -388,7 +391,7 @@ def _saturation_problem(bins, material: MaterialParams, sigmas):
     n = len(bins)
     arrays = [np.asarray(points, dtype=float) for _, _, points in bins]
     bin_of = np.repeat(np.arange(n), [len(a) for a in arrays])
-    j, g = np.concatenate(arrays).T
+    j, g, sigma = np.concatenate(arrays).T
     temperatures = np.array([t for t, _, _ in bins])[bin_of]
     # every bin probes one acoustic branch, so one mode object holds them all
     modes = PhononMode.in_material(material, np.array([m.omega for _, m, _ in bins])[bin_of],
@@ -400,7 +403,7 @@ def _saturation_problem(bins, material: MaterialParams, sigmas):
     starts = np.array([_saturation_start(a[:, 0], a[:, 1], float(u))
                        for a, u in zip(arrays, unit_rates[first])])
     scale = np.concatenate([[np.median(starts[:, 0])], starts[:, 1], starts[:, 2]])
-    weights = None if sigmas is None else 1.0 / np.concatenate(sigmas)
+    weights = 1.0 / sigma
     rows = np.arange(len(j))
     template = np.zeros((len(j), 1 + 2 * n))
     template[rows, 1 + n + bin_of] = 1.0
@@ -415,17 +418,15 @@ def _saturation_problem(bins, material: MaterialParams, sigmas):
         jac[:, 0] = per_coupling
         jac[rows, 1 + bin_of] = x[0] * per_coupling * j / (2.0 * j_c ** 2 * suppression ** 2)
         jac *= scale
-        if weights is not None:
-            return r * weights, jac * weights[:, None]
-        return r, jac
+        return r * weights, jac * weights[:, None]
 
     return model, scale
 
 
-def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
+def _solve_saturation(bins, material: MaterialParams, max_nfev: int):
     """One fit per bin, in the order of ``bins``, from the least squares of
     :func:`_saturation_problem`, every scaled parameter starting at 1."""
-    model, scale = _saturation_problem(bins, material, sigmas)
+    model, scale = _saturation_problem(bins, material)
     p, r, jac = _levenberg_marquardt(model, np.ones(len(scale)), np.full(len(scale), 1e-12),
                                      max_nfev, "saturation")
     cov = np.diag(scale) @ _covariance_from_jacobian(jac, r) @ np.diag(scale)
@@ -442,13 +443,13 @@ def _solve_saturation(bins, material: MaterialParams, sigmas, max_nfev: int):
 
 
 def fit_saturation(
-    points: Sequence[Tuple[float, float]],
+    points: Sequence[Tuple[float, float, float]],
     mode: PhononMode,
     material: MaterialParams,
     temperature: float,
-    sigmas: Optional[Sequence[float]] = None,
 ) -> SaturationFit:
-    """Three-parameter saturation fit of (intensity, linewidth) pairs at one T.
+    """Three-parameter saturation fit at one T of (intensity, linewidth,
+    linewidth sigma > 0) points, each residual weighted by 1/sigma.
 
     Initialization: gamma0 from the smallest linewidth, the saturable
     amplitude from the linewidth range, J_c from the median intensity. Data
@@ -463,14 +464,12 @@ def fit_saturation(
         raise FitError("saturation fit needs strictly positive intensities")
     if j.max() / j.min() < 10.0:
         raise FitError("saturation fit needs intensities spanning at least one decade")
-    return _solve_saturation([(temperature, mode, points)], material,
-                             None if sigmas is None else [sigmas], MAX_FIT_EVALS)[0]
+    return _solve_saturation([(temperature, mode, points)], material, MAX_FIT_EVALS)[0]
 
 
 def fit_saturation_shared(
-    bins: Sequence[Tuple[float, PhononMode, Sequence[Tuple[float, float]]]],
+    bins: Sequence[Tuple[float, PhononMode, Sequence[Tuple[float, float, float]]]],
     material: MaterialParams,
-    sigmas: Optional[Sequence[Sequence[float]]] = None,
 ) -> List[SaturationFit]:
     """Saturation fits of every temperature bin, in the order of ``bins``,
     with a shared P gamma^2.
@@ -484,7 +483,7 @@ def fit_saturation_shared(
     """
     if not bins:
         raise FitError("no bins to fit")
-    return _solve_saturation(bins, material, sigmas, 200 * (1 + 2 * len(bins)))
+    return _solve_saturation(bins, material, 200 * (1 + 2 * len(bins)))
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,9 @@ def _per_bin_row(unit: FitUnit) -> dict:
 
 
 def _saturation_inputs(fitted: List[FitUnit], config: RunConfig):
-    """``(bins, sigmas)`` over the bin centers that enough settings reach:
-    bins as fit_saturation_shared takes them, and their linewidth sigmas."""
-    bins, sigmas = [], []
+    """Bins as fit_saturation_shared takes them, over the bin centers that
+    enough settings reach: one (J, Gamma, Gamma sigma) point per unit."""
+    bins = []
     center_of = attrgetter("center")
     for _, group in groupby(sorted(fitted, key=center_of), center_of):
         units = list(group)
@@ -143,14 +143,12 @@ def _saturation_inputs(fitted: List[FitUnit], config: RunConfig):
         bins.append((
             float(np.mean([u.trace.temperature for u in units])),
             PhononMode.in_material(config.material, omega_mean, "L"),
-            [(u.intensity, u.fit.gamma_hat) for u in units],
+            [(u.intensity, u.fit.gamma_hat, u.fit.gamma_sigma) for u in units],
         ))
-        sigmas.append([max(u.fit.gamma_sigma, 1e-30) for u in units])
-    return bins, sigmas
+    return bins
 
 
-def _saturation_stage(bins, sigmas, config: RunConfig, shared: bool,
-                      notes: List[str]):
+def _saturation_stage(bins, config: RunConfig, shared: bool, notes: List[str]):
     """Saturation fits in the order of ``bins``, then P*gamma^2 and its sigma,
     each the median over the fits (exact when shared, as every fit holds one
     value; None and 0.0 if no fit was made). A failing fit is noted; a
@@ -164,13 +162,13 @@ def _saturation_stage(bins, sigmas, config: RunConfig, shared: bool,
     saturation: List[SaturationFit] = []
     if shared:
         try:
-            saturation = fit_saturation_shared(bins, config.material, sigmas=sigmas)
+            saturation = fit_saturation_shared(bins, config.material)
         except FitError as exc:
             notes.append(f"saturation stage failed: {exc}")
     else:
-        for (t, mode, points), sig in zip(bins, sigmas or [None] * len(bins)):
+        for t, mode, points in bins:
             try:
-                saturation.append(fit_saturation(points, mode, config.material, t, sigmas=sig))
+                saturation.append(fit_saturation(points, mode, config.material, t))
             except FitError as exc:
                 notes.append(f"saturation fit at {t:.3f} K failed: {exc}")
     if not saturation:
@@ -266,8 +264,8 @@ def run_fit_pipeline(
     load_errors: Optional[List[str]] = None,
 ) -> PipelineResult:
     """Fit ``traces`` stage by stage: bin, Lorentzian, saturation, power law
-    and decomposition, times, frequency drift, global block. ``fit.weighted``
-    weights each saturation point by its Lorentzian linewidth sigma."""
+    and decomposition, times, frequency drift, global block. Each saturation
+    point is weighted by its Lorentzian linewidth sigma."""
     fit_cfg = config.fit_section()
     errors: List[str] = list(load_errors or [])
     notes: List[str] = []
@@ -290,10 +288,8 @@ def run_fit_pipeline(
         notes.append("no bin produced a usable Lorentzian fit")
         return result
 
-    bins, sigmas = _saturation_inputs(fitted, config)
     saturation, fitted_p_gamma2, p_gamma2_sigma = _saturation_stage(
-        bins, sigmas if fit_cfg["weighted"] else None, config, fit_cfg["shared_p_gamma2"],
-        notes)
+        _saturation_inputs(fitted, config), config, fit_cfg["shared_p_gamma2"], notes)
     # no saturation fit: the later stages take the configured coupling product
     p_gamma2 = (config.ensemble.p * config.ensemble.gamma_l ** 2 if fitted_p_gamma2 is None
                 else fitted_p_gamma2)

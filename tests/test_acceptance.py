@@ -334,6 +334,38 @@ def test_criterion_08_frequency_shift_closure():
         + ", ".join(f"{z:.2f}" for z in zs))
 
 
+def test_criterion_08b_saturation_pulls(ge_doped):
+    # statistical criterion over frozen seeds 100-299 of criterion 08's
+    # campaign: a pull (fit - truth) / sigma has mean 0 and std 1 when the
+    # fit and its sigmas are honest. The std of n normal pulls has a standard
+    # error of 1 / sqrt(2 n), and 3 of those bound it; 100 seeds are too few
+    # to tell a P*gamma^2 std of 0.83 from 1
+    material, ensemble = ge_doped
+    truth = ensemble.p * ensemble.gamma_l ** 2
+    pulls = {"P*gamma^2": [], "J_c": [], "Gamma0": []}
+    for seed in range(100, 300):
+        config, _ = build_campaign(seed=seed, t_start=1.1, t_end=1.9, traces_per_100mk=6)
+        rep = run_fit_pipeline(synth_sweep(config.sweep_plan()), config).report
+        glob = rep["global"]
+        pulls["P*gamma^2"].append((glob["p_gamma2_j_m3"] - truth) / glob["p_gamma2_sigma_j_m3"])
+        for row in rep["per_temperature"]:
+            t = row["temperature_k"]
+            pulls["J_c"].append((row["j_c_w_m2"] - ensemble.j_c_from_power_law(t))
+                                / row["j_c_sigma_w_m2"])
+            g0_true = (gamma_rel_closed(t, "L", material, ensemble) + ensemble.gamma_bg) / TWO_PI
+            pulls["Gamma0"].append((row["gamma0_hz"] - g0_true) / row["gamma0_sigma_hz"])
+    stats = {name: (len(p), float(np.mean(p)), float(np.std(p, ddof=1)))
+             for name, p in pulls.items()}
+    ok = ([n for n, _, _ in stats.values()] == [200, 1600, 1600]
+          and all(abs(std - 1.0) <= 3.0 / math.sqrt(2 * n) and abs(mean) <= 0.15
+                  for n, mean, std in stats.values()))
+    assert report(
+        "8b", ok,
+        "saturation pulls over 200 seeds (|std - 1| <= 3/sqrt(2n), |mean| <= 0.15): "
+        + ", ".join(f"{name} n={n} mean {mean:+.3f} std {std:.3f}"
+                    for name, (n, mean, std) in stats.items()))
+
+
 def test_criterion_09_special_functions():
     worst = 0.0
     with mpmath.workdps(40):

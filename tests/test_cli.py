@@ -154,6 +154,13 @@ REJECTED = {
                               "jc_power_law_a must be finite and > 0, got -1"),
     "negative-bin-width": (("fit", "bin_width_k"), -1, "fit.bin_width_k must be finite and > 0"),
     "integer-weighted": (("fit", "weighted"), 1, "fit.weighted must be true or false, got 1"),
+    "unweighted": (("fit", "weighted"), False,
+                   "fit.weighted must be true: every saturation fit is weighted, got False$"),
+    # an integer float() cannot convert is no number
+    "beyond-double-range": (("material",), {**INLINE_MATERIAL, "rho_kg_m3": 10 ** 400},
+                            "material.rho_kg_m3 must be a number, got 10{400}$"),
+    "power-beyond-double-range": (("synth", "power_settings_w", 0), [10 ** 400, 0.01],
+                                  "power_settings_w must be a list of \\(pump, Stokes\\) number"),
 }
 
 # every optional synth and fit key, and the optional material/ensemble keys inline
@@ -229,8 +236,7 @@ class TestConfig:
         doc = base_doc()
         del doc["fit"]
         config = parse_config(doc)
-        assert config.fit_section() == {"bin_width_k": 0.1, "shared_p_gamma2": True,
-                                        "weighted": False}
+        assert config.fit_section() == {"bin_width_k": 0.1, "shared_p_gamma2": True}
         assert "fit" not in config.raw and config.sha256 == config_sha256(doc)
         doc["fit"] = {"weighted": True, "t0_k": 1.2}
         assert parse_config(doc).fit_section() == {"bin_width_k": 0.1, "shared_p_gamma2": True,
@@ -1074,6 +1080,31 @@ class TestFailureContract:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "fit-config", "fit-manifest", "report"])
+    def test_unweighted_fit_is_one_error_line(self, workspace, tmp_path, capsys, command):
+        # fit.weighted false is refused wherever a command reads a config: the
+        # config file, the copy in a manifest, or the copy in a report.json
+        _, config_path, data = workspace
+        doc = edited(json.loads(config_path.read_text()), ("fit", "weighted"), False)
+        unweighted = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--config", str(unweighted), "--out", str(out)]
+        elif command == "fit-config":
+            argv = ["fit", str(data), "--config", str(unweighted), "--out", str(out)]
+        else:  # the config is parsed before any trace or table is read
+            name = "manifest.json" if command == "fit-manifest" else "report.json"
+            (tmp_path / "in").mkdir()
+            (tmp_path / "in" / name).write_text(json.dumps({**read_manifest(data), "config": doc}))
+            argv = (["fit", str(tmp_path / "in"), "--out", str(out)] if command == "fit-manifest"
+                    else ["report", "--out", str(tmp_path / "in")])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid config: fit.weighted must be true: every "
+                                "saturation fit is weighted, got False\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["synth-out-is-a-file", "model-config-is-a-directory",
                                       "fit-out-under-a-file"])
     def test_os_error_is_one_error_line(self, tmp_path, capsys, case):
@@ -1221,21 +1252,11 @@ class TestPipelineOptions:
         assert report["global"]["p_gamma2_j_m3"] == np.median(
             [row["p_gamma2_j_m3"] for row in report["per_temperature"]])
 
-    def test_weighted_mode(self):
-        doc = base_doc()
-        doc["synth"]["noise_sigma_w"] = 2e-10
-        doc["fit"]["weighted"] = True
-        config = parse_config(doc)
-        traces = synth_sweep(config.sweep_plan())
-        result = run_fit_pipeline(traces, config)
-        assert result.report["per_temperature"]
-
     def test_weighted_fit_ignores_the_synth_noise_level(self):
         # weighting uses the Lorentzian linewidth sigmas only, so the synth
         # section's noise level moves no reported number
         doc = base_doc()
         doc["synth"]["noise_sigma_w"] = 2e-10
-        doc["fit"]["weighted"] = True
         traces = synth_sweep(parse_config(doc).sweep_plan())
         reports = []
         for noise in (2e-10, 3e-8):

@@ -146,6 +146,18 @@ class TestLorentzian:
         with pytest.raises(FitError, match=f"^no discernible peak: {reason}"):
             fit_lorentzian(noise)
 
+    def test_residual_free_line_is_refused(self, ge_doped):
+        # an exact line on a grid through its center fits with residual 0, so
+        # every sigma is 0 and the peak gate (5 times that sigma) passes it;
+        # a zero linewidth sigma would outweigh every other saturation point
+        grid = 1e9 + np.arange(-20.0, 21.0)
+        exact = BGSTrace(temperature=1.1, detuning_grid=grid,
+                         gain=1e-6 * lorentzian_profile(grid, 1e9, 2.0),
+                         drive=make_trace(ge_doped).drive, seed=0, timestamp_index=0)
+        with pytest.raises(FitError) as exc:
+            fit_lorentzian(exact)
+        assert str(exc.value) == "fitted FWHM sigma 0 rad/s is not > 0"
+
     def test_covariance_shape_and_symmetry(self, ge_doped):
         fit = fit_lorentzian(make_trace(ge_doped, noise=PEAK / 100.0, seed=5))
         assert fit.covariance.shape == (3, 3)
@@ -157,13 +169,15 @@ class TestSaturation:
     @staticmethod
     def synthetic_points(ge_doped, p_gamma2=1.6e7, j_c=1.2,
                          gamma0=TWO_PI * 700e3, t=1.1, n=24, noise=0.0, seed=0):
+        """(J, Gamma, sigma) points with sigmas of 1% of the noise-free linewidth."""
         material, _ = ge_doped
         mode = PhononMode.in_material(material, OMEGA, "L")
         j = np.geomspace(1e-2 * j_c, 1e2 * j_c, n)
         g = saturation_rate(j, p_gamma2, j_c, gamma0, mode, material, t)
+        sigma = 0.01 * g
         if noise > 0.0:
             g = g * (1.0 + np.random.default_rng(seed).normal(0.0, noise, size=n))
-        return mode, list(zip(j, g))
+        return mode, list(zip(j, g, sigma))
 
     def test_noiseless_recovery(self, ge_doped):
         material, _ = ge_doped
@@ -176,6 +190,8 @@ class TestSaturation:
     def test_reference_round_trip_with_noise(self, ge_doped):
         material, _ = ge_doped
         mode, points = self.synthetic_points(ge_doped, noise=0.01, seed=42, n=40)
+        # one shared sigma: the weighted fit is then the unweighted one
+        points = [(j, g, TWO_PI * 1e4) for j, g, _ in points]
         fit = fit_saturation(points, mode, material, 1.1)
         assert fit.p_gamma2 == pytest.approx(1.6e7, rel=0.02)
         assert fit.j_c == pytest.approx(1.2, rel=0.02)
@@ -187,14 +203,14 @@ class TestSaturation:
         j = np.geomspace(0.001 * 1.2, 0.01 * 1.2, 6)
         g = saturation_rate(j, 1.6e7, 1.2, TWO_PI * 700e3, mode, material, 1.1)
         with pytest.warns(UserWarning, match="flat direction"):
-            fit_saturation(list(zip(j, g)), mode, material, 1.1)
+            fit_saturation(list(zip(j, g, 0.01 * g)), mode, material, 1.1)
 
     def test_preconditions(self, ge_doped):
         material, _ = ge_doped
         mode, points = self.synthetic_points(ge_doped)
         with pytest.raises(FitError, match=">= 5"):
             fit_saturation(points[:4], mode, material, 1.1)
-        narrow = [(1.0 + 0.1 * k, TWO_PI * 1e6) for k in range(6)]
+        narrow = [(1.0 + 0.1 * k, TWO_PI * 1e6, TWO_PI * 1e4) for k in range(6)]
         with pytest.raises(FitError, match="decade"):
             fit_saturation(narrow, mode, material, 1.1)
 
@@ -229,7 +245,7 @@ class TestSaturation:
             j = np.geomspace(span[0] * j_c, span[1] * j_c, 8)
             gamma0 = gamma_rel_closed(t, "L", material, ensemble) + TWO_PI * 650e3
             g = saturation_rate(j, 1.6e7, j_c, gamma0, mode, material, t)
-            bins.append((t, mode, list(zip(j, g))))
+            bins.append((t, mode, list(zip(j, g, 0.01 * g))))
         with pytest.raises(FitError, match="decade"):
             fit_saturation(bins[1][2], bins[1][1], material, 1.45)
         fits = fit_saturation_shared(bins, material)
@@ -480,10 +496,13 @@ def assert_matches_least_squares(trace) -> LorentzianFit:
     return fit
 
 
-def saturation_bins(ge_doped, temperatures, n=12, noise=0.01, seed=0):
-    """Noisy saturation points per temperature, each bin at its own frequency."""
+def saturation_bins(ge_doped, temperatures, n=12, noise=0.01, seed=0, spread=True):
+    """Noisy (J, Gamma, sigma) points per temperature, each bin at its own
+    frequency. With ``spread`` each sigma is 0.5-2% of its linewidth, drawn
+    from ``seed``; without, every point has one sigma, so the weighted fit is
+    the unweighted one."""
     material, ensemble = ge_doped
-    rng = np.random.default_rng(seed)
+    rng, spreads = np.random.default_rng(seed), np.random.default_rng(seed)
     bins, truth = [], []
     for k, t in enumerate(temperatures):
         mode = PhononMode.in_material(material, OMEGA * (1.0 + 1e-4 * k), "L")
@@ -491,32 +510,28 @@ def saturation_bins(ge_doped, temperatures, n=12, noise=0.01, seed=0):
         gamma0 = gamma_rel_closed(t, "L", material, ensemble) + TWO_PI * 650e3
         j = np.geomspace(1e-2 * j_c, 1e2 * j_c, n)
         g = saturation_rate(j, 1.6e7, j_c, gamma0, mode, material, t)
-        bins.append((t, mode, list(zip(j, g * (1.0 + rng.normal(0.0, noise, n))))))
+        g = g * (1.0 + rng.normal(0.0, noise, n))
+        sigma = 0.01 * g * spreads.uniform(0.5, 2.0, n) if spread else np.full(n, TWO_PI * 1e4)
+        bins.append((t, mode, list(zip(j, g, sigma))))
         truth.append((j_c, gamma0))
     return bins, truth
 
 
-def saturation_oracle_residual(bins, material, sigmas, scale):
-    """The residual of saturation_rate over all bins' points, in scaled parameters."""
+def saturation_oracle_residual(bins, material, scale):
+    """The residual of saturation_rate over all bins' points, over each
+    point's sigma, in scaled parameters."""
     n = len(bins)
     bin_of = np.repeat(np.arange(n), [len(points) for _, _, points in bins])
-    j, g = np.concatenate([np.asarray(points) for _, _, points in bins]).T
+    j, g, sigma = np.concatenate([np.asarray(points) for _, _, points in bins]).T
     temps = np.array([t for t, _, _ in bins])[bin_of]
     modes = PhononMode.in_material(material, np.array([m.omega for _, m, _ in bins])[bin_of], "L")
-    w = 1.0 if sigmas is None else 1.0 / np.concatenate(sigmas)
 
     def residuals(p):
         x = p * scale
         return (saturation_rate(j, x[0], x[1:1 + n][bin_of], x[1 + n:][bin_of],
-                                modes, material, temps) - g) * w
+                                modes, material, temps) - g) / sigma
 
     return residuals
-
-
-def bin_sigmas(bins, seed=1):
-    rng = np.random.default_rng(seed)
-    return [list(0.01 * np.array([g for _, g in points]) * rng.uniform(0.5, 2.0, len(points)))
-            for _, _, points in bins]
 
 
 class TestSolverOracle:
@@ -579,13 +594,12 @@ class TestSolverOracle:
             fit_lorentzian(trace)
         assert str(exc.value) == text
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_saturation_jacobian_matches_central_differences(self, ge_doped, weighted):
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_saturation_jacobian_matches_central_differences(self, ge_doped, spread):
         material, _ = ge_doped
-        bins, _ = saturation_bins(ge_doped, (1.15, 1.6, 2.4, 3.3))
-        sigmas = bin_sigmas(bins) if weighted else None
-        model, scale = _saturation_problem(bins, material, sigmas)
-        residuals = saturation_oracle_residual(bins, material, sigmas, scale)
+        bins, _ = saturation_bins(ge_doped, (1.15, 1.6, 2.4, 3.3), spread=spread)
+        model, scale = _saturation_problem(bins, material)
+        residuals = saturation_oracle_residual(bins, material, scale)
         p = 1.0 + 0.3 * np.sin(np.arange(len(scale)) + 1.0)  # away from the start
         r, jac = model(p)
         assert np.allclose(r, residuals(p), rtol=1e-12, atol=1e-12 * np.abs(r).max())
@@ -600,7 +614,8 @@ class TestSolverOracle:
         for idx in range(n):
             assert not jac[rows != idx][:, [1 + idx, 1 + n + idx]].any()
 
-    @pytest.mark.parametrize("temperatures, weighted, noise, seed", [
+    # one sigma for every point (spread False) gives the unweighted fit
+    @pytest.mark.parametrize("temperatures, spread, noise, seed", [
         ((1.3,), False, 0.01, 1), ((1.3,), True, 0.01, 1),
         ((1.15, 1.45, 1.75, 2.9), False, 0.01, 4), ((1.15, 1.45, 1.75, 2.9), True, 0.01, 4),
         # 5% noise against 1% sigmas: residuals large enough that the
@@ -608,25 +623,23 @@ class TestSolverOracle:
         # drops by 10x after every accepted step
         ((1.15, 1.45, 1.75, 2.9), True, 0.05, 29),
     ])
-    def test_saturation_fits_match_least_squares(self, ge_doped, temperatures, weighted,
+    def test_saturation_fits_match_least_squares(self, ge_doped, temperatures, spread,
                                                  noise, seed):
         from scipy.optimize import least_squares
 
         material, _ = ge_doped
-        bins, _ = saturation_bins(ge_doped, temperatures, noise=noise, seed=seed)
-        sigmas = bin_sigmas(bins, seed) if weighted else None
-        _, scale = _saturation_problem(bins, material, sigmas)
-        sol = least_squares(saturation_oracle_residual(bins, material, sigmas, scale),
+        bins, _ = saturation_bins(ge_doped, temperatures, noise=noise, seed=seed, spread=spread)
+        _, scale = _saturation_problem(bins, material)
+        sol = least_squares(saturation_oracle_residual(bins, material, scale),
                             np.ones(len(scale)), bounds=(1e-12, np.inf),
                             xtol=1e-10, ftol=None, gtol=None, max_nfev=10_000)
         assert sol.status > 0
         expected = sol.x * scale
         n = len(bins)
         if n == 1:
-            fits = [fit_saturation(bins[0][2], bins[0][1], material, bins[0][0],
-                                   sigmas=None if sigmas is None else sigmas[0])]
+            fits = [fit_saturation(bins[0][2], bins[0][1], material, bins[0][0])]
         else:
-            fits = fit_saturation_shared(bins, material, sigmas=sigmas)
+            fits = fit_saturation_shared(bins, material)
         for idx, fit in enumerate(fits):
             got = [fit.p_gamma2, fit.j_c, fit.gamma0]
             want = expected[[0, 1 + idx, 1 + n + idx]]
@@ -636,7 +649,7 @@ class TestSolverOracle:
         material, _ = ge_doped
         bins, _ = saturation_bins(ge_doped, (1.15, 1.45, 1.75))
         with pytest.raises(FitError) as exc:
-            _solve_saturation(bins, material, None, 3)
+            _solve_saturation(bins, material, 3)
         assert str(exc.value) == "saturation fit did not converge within 3 evaluations"
         monkeypatch.setattr(fitting, "MAX_FIT_EVALS", 2)
         with pytest.raises(FitError) as exc:
