@@ -171,8 +171,18 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     return out_dir / "manifest.json"
 
 
+# rows per format_rows call: 64 rows of a 32-bin setting are ~45 kB of text,
+# too little to raise the campaign fit's peak RSS (256 rows raised it ~0.4 MB)
+BINNED_BLOCK_ROWS = 64
+
+
 def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
-    from .dataset import format_rows, load_dataset, write_json, write_spectrum
+    from itertools import groupby
+    from operator import attrgetter
+
+    import numpy as np
+
+    from .dataset import format_rows, load_dataset, write_json
     from .pipeline import TABLE_COLUMNS, run_fit_pipeline
     from .report import render_report_table
 
@@ -186,11 +196,21 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", {**report, "config": config.raw})
 
+    # one matrix per power setting: its shared detuning axis once, then one
+    # gain column per bin, named by the bin center as per_bin.csv writes it
     binned_dir = out_dir / "binned"
     binned_dir.mkdir(exist_ok=True)
-    for unit in result.binned:
-        write_spectrum(binned_dir / f"binned_s{unit.setting:02d}_T{unit.center:.3f}.csv",
-                       unit.trace.detuning_grid / TWO_PI, unit.trace.gain)
+    for setting, group in groupby(result.binned, attrgetter("setting")):
+        units = list(group)
+        grid = units[0].trace.detuning_grid
+        centers = format_rows([[u.center for u in units]]).decode().rstrip("\n").split(",")
+        with (binned_dir / f"binned_s{setting:02d}.csv").open("wb") as fh:
+            fh.write(_csv_head(("detuning_hz", *centers), config))
+            # bounded blocks: the setting's matrix never sits in memory whole
+            for start in range(0, len(grid), BINNED_BLOCK_ROWS):
+                rows = slice(start, start + BINNED_BLOCK_ROWS)
+                fh.write(format_rows(np.column_stack(
+                    (grid[rows] / TWO_PI, *(u.trace.gain[rows] for u in units)))))
 
     for table, columns in TABLE_COLUMNS.items():
         rows = [[row[c] for c in columns] for row in report[table]]

@@ -628,6 +628,26 @@ TRACE_FAULTS = {
 }
 
 
+def binned_columns(out: Path) -> dict:
+    """Every CSV under ``out/binned`` as {file name: (stamp line, header
+    cells, columns as float arrays)}; a column reads back by ``float``."""
+    tables = {}
+    for path in sorted((out / "binned").glob("*.csv")):
+        lines = path.read_text().splitlines()
+        stamp = lines.pop(0) if lines[0].startswith("#") else None
+        header = lines[0].split(",")
+        cells = [line.split(",") for line in lines[1:]]
+        columns = [np.array([float(row[i]) for row in cells]) for i in range(len(header))]
+        tables[path.name] = (stamp, header, columns)
+    return tables
+
+
+def fit_units(data: Path, config) -> list:
+    """The fit units a ``fit`` of ``data`` under ``config`` bins, in order."""
+    traces = [tr for (_, tr, err) in load_dataset(data) if err is None]
+    return run_fit_pipeline(traces, config).binned
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -682,7 +702,9 @@ class TestCliSynthFit:
         assert (out / "per_bin.csv").exists()
         assert (out / "per_temperature.csv").exists()
         assert (out / "freq_shift.csv").exists()
-        assert sorted((out / "binned").glob("*.csv"))
+        # one matrix per power setting
+        assert sorted(p.name for p in (out / "binned").iterdir()) == [
+            f"binned_s{setting:02d}.csv" for setting in range(6)]
         # report subcommand renders every comparison row
         assert main(["report", "--out", str(out)]) == 0
 
@@ -708,6 +730,53 @@ class TestCliSynthFit:
                         assert bits(float(cell)) == bits(value)
         ints = {c for c, v in report["per_bin"][0].items() if isinstance(v, int)}
         assert ints == {"setting_index", "n_traces"}
+
+    def test_binned_matrices_read_back_bit_for_bit(self, workspace, tmp_path):
+        # each setting's file holds its axis once, then one gain column per
+        # bin, named by the bin center as per_bin.csv writes it
+        tmp, config_path, data = workspace
+        out = tmp_path / "fit"
+        assert main(["fit", str(data), "--out", str(out)]) == 0
+        stamp = (out / "per_bin.csv").read_text().splitlines()[0]
+        per_bin = [line.split(",") for line in
+                   (out / "per_bin.csv").read_text().splitlines()[2:]]
+        setting_col = TABLE_COLUMNS["per_bin"].index("setting_index")
+        tables = binned_columns(out)
+        units = fit_units(data, load_config(config_path))
+        settings = sorted({u.setting for u in units})
+        assert sorted(tables) == [f"binned_s{s:02d}.csv" for s in settings]
+        for setting in settings:
+            mine = [u for u in units if u.setting == setting]
+            line, header, columns = tables[f"binned_s{setting:02d}.csv"]
+            assert line == stamp and line.startswith("# tlsphonon ")
+            assert header == ["detuning_hz"] + [
+                row[0] for row in per_bin if row[setting_col] == str(setting)]
+            assert len(columns) == 1 + len(mine)
+            assert bits(columns[0]).tolist() == bits(
+                mine[0].trace.detuning_grid / TWO_PI).tolist()
+            for unit, center, gain in zip(mine, header[1:], columns[1:]):
+                assert bits(float(center)) == bits(unit.center)
+                assert bits(gain).tolist() == bits(unit.trace.gain).tolist()
+
+    def test_binned_spectra_of_one_setting_never_collide(self, tmp_path):
+        # two bins of one setting 0.2 mK apart: both spectra are written
+        doc = base_doc()
+        doc["synth"].update(t_end_k=1.3, noise_sigma_w=2e-10)
+        doc["fit"]["bin_width_k"] = 0.0002
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(data)]) == 0
+        manifest = read_manifest(data)
+        for entry in manifest["traces"][1::2]:
+            entry["temperature_k"] += 0.0003
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "fit"
+        assert main(["fit", str(data), "--out", str(out)]) == 0
+        units = fit_units(data, parse_config(manifest["config"]))
+        assert len(units) == 24
+        written = [bits(gain).tobytes() for _, _, columns in binned_columns(out).values()
+                   for gain in columns[1:]]
+        assert sorted(written) == sorted(bits(u.trace.gain).tobytes() for u in units)
 
     def test_fit_config_option(self, workspace, tmp_path):
         # --config with the synth config fits as the manifest's copy does; a
