@@ -167,16 +167,17 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = [write_trace(out_dir, tr) for tr in traces]
-    write_manifest(out_dir, entries, config.raw, config.sha256, __version__)
+    write_manifest(out_dir, entries, traces, config.raw, config.sha256, __version__)
     return out_dir / "manifest.json"
 
 
 # rows per format_rows call: 64 rows of a 32-bin setting are ~45 kB of text,
-# too little to raise the campaign fit's peak RSS (256 rows raised it ~0.4 MB)
+# too little to raise a fit's peak RSS (256 rows raised long-traces' by ~1 MB)
 BINNED_BLOCK_ROWS = 64
 
 
-def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
+def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path, manifest: dict) -> int:
+    """Fit a dataset; ``manifest`` is its parsed manifest (``read_manifest``)."""
     from itertools import groupby
     from operator import attrgetter
 
@@ -186,7 +187,7 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path) -> int:
     from .pipeline import TABLE_COLUMNS, run_fit_pipeline
     from .report import render_report_table
 
-    loaded = load_dataset(dataset_dir)
+    loaded = load_dataset(dataset_dir, manifest)
     traces = [tr for (_, tr, err) in loaded if err is None]
     load_errors = [err for (_, _, err) in loaded if err is not None]
 
@@ -302,14 +303,15 @@ def main(argv=None) -> int:
             print(out)
             return 0
         if args.command == "fit":
-            if args.config is not None:
-                config = load_config(args.config)
-            else:
-                from .dataset import read_manifest
+            from .dataset import read_manifest
 
-                config = parse_config(require_key(read_manifest(args.dataset), "config",
+            # the manifest is parsed once, for the config and for the traces
+            config = None if args.config is None else load_config(args.config)
+            manifest = read_manifest(args.dataset)
+            if config is None:
+                config = parse_config(require_key(manifest, "config",
                                                   args.dataset / "manifest.json"))
-            return cmd_fit(config, args.dataset, args.out)
+            return cmd_fit(config, args.dataset, args.out, manifest)
         if args.command == "report":
             print(cmd_report(args.out))
             return 0

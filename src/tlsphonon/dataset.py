@@ -1,12 +1,22 @@
-"""On-disk dataset format for gain spectra.
+"""On-disk dataset format for gain spectra (``tlsphonon-bgs-v2``).
 
-One CSV per trace with header ``detuning_hz,gain_w`` plus a JSON sidecar
-repeating the trace's acquisition metadata, and a manifest listing every
-trace with that metadata, the config hash and the library version. Only
-the CSV and the manifest are read back. Synthetic and externally measured
-data share the format; a manifest entry's ``peak_intensity_w_m2`` is
-optional for the latter and recomputed from the fitted linewidth when
-absent.
+The synthesizer sets the detuning axis and only the gain is measured, so a
+dataset holds each power setting's axis once. ``manifest.json`` carries the
+config, its SHA-256, the library version, every trace with its acquisition
+metadata, and under ``detuning_axes_hz`` the axis of each power setting,
+keyed by the setting index as a string: one string of its values in Hz,
+comma-separated, in the digits a v1 CSV's detuning column holds, so it
+parses back to the same doubles. Each trace is one CSV with the single
+column ``gain_w``, sampled on its setting's axis, plus a JSON sidecar
+repeating the trace's manifest entry. Only the CSVs and the manifest are
+read back.
+
+Externally measured data may keep the v1 layout: two-column
+``detuning_hz,gain_w`` CSVs and no axes in the manifest. Such a trace
+carries its own axis, and one whose axis differs from the axis most traces
+of its power setting share is refused. A manifest entry's
+``peak_intensity_w_m2`` is optional for external data and recomputed from
+the fitted linewidth when absent.
 
 Every number the program writes to a CSV, here and in ``fit``'s and
 ``model``'s tables, goes through :func:`format_rows` in its shortest
@@ -14,16 +24,17 @@ round-trip form, and every JSON file through :func:`write_json`, so
 re-running an identical config produces byte-identical files.
 
 The row codec makes one flat pass each way. :func:`format_rows` dumps a
-table's row-major values as one flat orjson list and turns every width-th
-comma into a newline with one numpy pass over the bytes. The trace reader
-checks in one numpy pass that the separators alternate ``,`` and newline,
+table's row-major values as flat orjson lists of a few whole rows each,
+appended to one buffer, and turns every width-th comma into a newline with
+one numpy pass over each chunk. The trace reader takes the width from the
+header, checks in one numpy pass that every line holds that many values,
 then parses the values as one flat orjson list; a body it does not take
-goes to a line-at-a-time parser that reads any v1 layout.
+goes to a line-at-a-time parser that reads any layout.
 
 A loaded dataset holds each detuning axis once. :func:`load_dataset`
-interns every parsed axis by its exact bytes, so the traces of one power
-setting share one read-only grid array and only their gains are per trace:
-~8 bytes a sample, where a grid per trace took ~24 while loading.
+interns every axis, from the manifest or from a v1 CSV, by its exact
+bytes, so the traces of one power setting share one read-only grid array
+and only their gains are per trace: ~8 bytes a sample.
 """
 
 from __future__ import annotations
@@ -44,13 +55,21 @@ from .constants import TWO_PI
 from .sbs import OpticalDrive
 from .synth import BGSTrace
 
-TRACE_HEADER = "detuning_hz,gain_w"
-_HEADER_LINE = TRACE_HEADER.encode() + b"\n"
+FORMAT = "tlsphonon-bgs-v2"
+AXES_KEY = "detuning_axes_hz"
+TRACE_HEADER = "gain_w"
+V1_TRACE_HEADER = "detuning_hz,gain_w"
+# values a line under each header a trace CSV may have
+_HEADER_WIDTHS = {TRACE_HEADER.encode(): 1, V1_TRACE_HEADER.encode(): 2}
 # every byte format_rows writes for finite values; any other goes to the line parser
 _ROW_BYTES = b"0123456789.eE+-, \n"
 # JSON reads the integer -0 as +0, where float() keeps the sign
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.\deE])")
-_COMMA, _NEWLINE = b","[0], b"\n"[0]
+_COMMA, _NEWLINE, _OPEN, _CLOSE = b",\n[]"
+# values per orjson dump in format_rows. A dump's bytes keep orjson's whole
+# buffer, ~16 kB for 512 values (~10 kB of text) and ~64 kB for 1024, so a
+# chunk stays small beside a large table's text
+_CHUNK_VALUES = 512
 
 
 def trace_filename(index: int) -> str:
@@ -64,7 +83,7 @@ def _token(value) -> bytes:
     return repr(float(value)).encode()
 
 
-def format_rows(rows) -> bytes:
+def format_rows(rows) -> bytearray:
     """CSV rows of a 2-D float matrix, or of a list of rows of Python (or
     numpy scalar) ints and floats, each value in its shortest round-trip form.
 
@@ -74,8 +93,11 @@ def format_rows(rows) -> bytes:
     +-inf are written ``nan``, ``inf`` and ``-inf``, never JSON's ``null``.
     Rows must share one width of at least one value.
 
-    One flat orjson dump of the row-major values, then one numpy pass that
-    turns every width-th comma into a newline.
+    The row-major values are dumped as flat orjson lists of whole rows,
+    ~``_CHUNK_VALUES`` values each, straight into the one buffer returned;
+    one numpy pass over each chunk turns every width-th comma, and the
+    closing bracket, into a newline. No copy of the whole text is made, so
+    the peak memory is under twice the output.
     """
     if isinstance(rows, np.ndarray):
         block = np.ascontiguousarray(rows, dtype=np.float64)
@@ -93,36 +115,51 @@ def format_rows(rows) -> bytes:
         flat = list(chain.from_iterable(block))
         bad = [i for i, row in enumerate(block) if not all(map(math.isfinite, row))]
     if not shape[0]:
-        return b""
-    if not shape[1]:
+        return bytearray()
+    width = shape[1]
+    if not width:
         raise ValueError(f"expected at least one column, got shape {shape}")
-    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])  # a,b,c,d
-    chars = np.frombuffer(text, dtype=np.uint8)
-    chars[np.flatnonzero(chars == _COMMA)[shape[1] - 1::shape[1]]] = _NEWLINE
-    if not len(bad):
-        return bytes(text) + b"\n"
-    lines = bytes(text).split(b"\n")
-    for i in bad:
-        lines[i] = b",".join(map(_token, block[i]))
-    return b"\n".join(lines) + b"\n"
+    step = max(1, _CHUNK_VALUES // width) * width
+    text = bytearray()
+    for start in range(0, len(flat), step):
+        at = len(text)
+        dump = orjson.dumps(flat[start:start + step], option=orjson.OPT_SERIALIZE_NUMPY)
+        text += memoryview(dump)[1:]  # a,b,c,d]
+        del dump  # orjson's buffer goes before the pass below allocates
+        chars = np.frombuffer(text, dtype=np.uint8, offset=at)
+        chars[-1] = _NEWLINE
+        chars[np.flatnonzero(chars == _COMMA)[width - 1::width]] = _NEWLINE
+        del chars  # a bytearray with a view on it cannot grow
+    if len(bad):
+        lines = text.split(b"\n")  # the last is the empty one after the final newline
+        for i in bad:
+            lines[i] = b",".join(map(_token, block[i]))
+        text = bytearray(b"\n").join(lines)
+    return text
 
 
 def write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` as key-sorted JSON indented by one space, newline-terminated."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    """Write ``doc`` as key-sorted JSON indented by one space, newline-terminated.
 
-
-def write_spectrum(path: Path, detuning_hz: np.ndarray, gain: np.ndarray) -> None:
-    """Write one spectrum as a ``detuning_hz,gain_w`` CSV."""
-    rows = format_rows(np.column_stack((detuning_hz, gain)))
-    Path(path).write_bytes(_HEADER_LINE + rows)
+    The text is streamed to the file as it is encoded: ``json.dumps`` with an
+    indent holds every piece of it in one list first, ~4 MB for the
+    1860-trace campaign's manifest.
+    """
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def write_trace(directory: Path, trace: BGSTrace) -> dict:
-    """Write one trace (CSV + JSON sidecar); returns its manifest entry."""
+    """Write one trace (gain CSV + JSON sidecar); returns its manifest entry.
+
+    The detuning axis is not written here: :func:`write_manifest` holds it
+    once for the trace's power setting.
+    """
     directory = Path(directory)
     name = trace_filename(trace.timestamp_index)
-    write_spectrum(directory / name, trace.detuning_grid / TWO_PI, trace.gain)
+    (directory / name).write_bytes(
+        TRACE_HEADER.encode() + b"\n" + format_rows(trace.gain.reshape(-1, 1)))
 
     sidecar = {
         "temperature_k": float(trace.temperature),
@@ -142,56 +179,95 @@ def write_trace(directory: Path, trace: BGSTrace) -> dict:
 
 
 def _parse_rows(data: bytes):
-    """The (n, 2) value matrix of a trace CSV in format_rows' layout, else None.
+    """The (n, width) value matrix of a trace CSV in format_rows' layout, else None.
 
-    One numpy pass checks that the separators alternate ``,`` and newline,
-    so the body is two values a line, then one orjson parse of the values
-    as a flat list. Anything else a v1 reader takes (``1.``, ``.5``, ``+1``,
-    ``nan``, CRLF, blank lines) returns None and goes to
-    :func:`_parse_lines`, and so does a body that is not two numbers a line,
-    so a damaged file fails with that parser's message.
+    The header gives the width: 1 under ``gain_w``, 2 under v1's
+    ``detuning_hz,gain_w``. The body is made a flat JSON list in place in
+    one copy of the file (the header's newline becomes ``[``, the final
+    newline ``]`` and every other newline ``,``) after one numpy pass checks
+    that every line holds width - 1 commas, so it is width values a line;
+    then one orjson parse. Anything else the line reader takes (``1.``,
+    ``.5``, ``+1``, ``nan``, CRLF, blank lines) returns None and goes to
+    :func:`_parse_lines`, and so does a body that is not width numbers a
+    line, so a damaged file fails with that parser's message.
     """
-    if not data.startswith(_HEADER_LINE):
+    head, newline, _ = data[:len(V1_TRACE_HEADER) + 1].partition(b"\n")
+    width = _HEADER_WIDTHS.get(head) if newline else None
+    if width is None:
         return None
-    body = data[len(_HEADER_LINE):].rstrip()
-    if body.translate(None, _ROW_BYTES) or _INTEGER_MINUS_ZERO.search(body):
+    text = bytearray(data)
+    del text[:len(head)]  # from the front of a bytearray: no copy
+    text[0] = _OPEN
+    if len(text) > 1 and text[-1] == _NEWLINE:
+        text[-1] = _CLOSE
+    else:
+        text.append(_CLOSE)
+    if text.translate(None, _ROW_BYTES) != b"[]" or _INTEGER_MINUS_ZERO.search(text):
         return None
-    chars = np.frombuffer(body, dtype=np.uint8)
-    commas = np.flatnonzero(chars == _COMMA)
+    chars = np.frombuffer(text, dtype=np.uint8)
     newlines = np.flatnonzero(chars == _NEWLINE)
-    # two values a line: the separators alternate , \n , ... , so each newline
-    # sits between two commas
-    if (len(commas) != len(newlines) + 1 or (newlines < commas[:-1]).any()
-            or (newlines > commas[1:]).any()):
-        return None
+    if width == 1:
+        if _COMMA in text:
+            return None
+    else:
+        # width - 1 commas a line, each line's between the newlines around it
+        commas = np.flatnonzero(chars == _COMMA)
+        if len(commas) != (width - 1) * (len(newlines) + 1):
+            return None
+        if ((commas[width - 1::width - 1] < newlines).any()
+                or (commas[width - 2:-1:width - 1] > newlines).any()):
+            return None
+    chars[newlines] = _COMMA
     try:
-        values = np.array(orjson.loads(b"[" + body.replace(b"\n", b",") + b"]"),
-                          dtype=np.float64)
+        values = np.array(orjson.loads(text), dtype=np.float64)
     except ValueError:  # not JSON, or a number past the double range
         return None
-    return values.reshape(-1, 2)
+    return values.reshape(-1, width)
 
 
 def _parse_lines(text: str, path: Path):
-    """(detuning, gain) arrays of any v1 trace CSV, one line at a time."""
+    """(detuning or None, gain) arrays of any trace CSV, one line at a time;
+    the detuning is None under the gain-only header."""
     raw = text.strip().splitlines()
-    if not raw or raw[0].strip() != TRACE_HEADER:
-        raise ValueError(f"{path}: expected header {TRACE_HEADER!r}")
+    width = _HEADER_WIDTHS.get(raw[0].strip().encode()) if raw else None
+    if width is None:
+        raise ValueError(f"{path}: expected header {TRACE_HEADER!r}, or {V1_TRACE_HEADER!r} "
+                         f"in v1 data")
+    cells = (line.split(",") for line in raw[1:])
+    if width == 1:
+        return None, np.array([float(g) for (g,) in cells])
     det = []
     gain = []
-    for line in raw[1:]:
-        a, b = line.split(",")
+    for a, b in cells:
         det.append(float(a))
         gain.append(float(b))
     return np.array(det), np.array(gain)
 
 
+def _intern(grids: dict, axis_hz: np.ndarray) -> np.ndarray:
+    """The read-only grid [rad/s] of an axis in Hz; ``grids`` maps each axis's
+    exact bytes to its grid, so an axis seen before gives the same array."""
+    key = axis_hz.tobytes()
+    grid = grids.get(key)
+    if grid is None:
+        grid = grids[key] = axis_hz * TWO_PI
+        grid.flags.writeable = False
+    return grid
+
+
+def _setting_key(setting) -> str:
+    return f"setting {setting}"
+
+
 def read_trace(directory: Path, entry: dict, grids: Optional[dict] = None) -> BGSTrace:
     """Load one trace from its manifest entry.
 
-    The detuning grid is read-only. ``grids`` maps an axis's exact bytes (in
-    Hz, as parsed) to its grid; a trace whose axis is in it shares that grid,
-    and a new axis is added, so traces read with one table hold each axis once.
+    The detuning grid is read-only and comes from ``grids``, the table
+    :func:`load_dataset` fills: it maps an axis's exact bytes (in Hz) to its
+    grid, and ``"setting N"`` to the grid of power setting N's manifest axis
+    (None for an axis that is not a string of numbers). A gain-only trace takes
+    its setting's grid; a v1 trace's own axis is looked up by its bytes and,
+    if new, added, so traces read with one table hold each axis once.
     """
     directory = Path(directory)
     path = directory / entry["file"]
@@ -200,13 +276,23 @@ def read_trace(directory: Path, entry: dict, grids: Optional[dict] = None) -> BG
     if rows is None:
         det, gain = _parse_lines(data.decode("utf-8"), path)
     else:  # an owned gain: a column view would keep the whole matrix alive
-        det, gain = rows[:, 0], rows[:, 1].copy()
+        det = rows[:, 0] if rows.shape[1] == 2 else None
+        gain = rows[:, -1].copy()
     grids = {} if grids is None else grids
-    key = det.tobytes()
-    grid = grids.get(key)
-    if grid is None:
-        grid = grids[key] = det * TWO_PI
-        grid.flags.writeable = False
+    setting = int(entry.get("setting_index", 0))
+    if det is not None:
+        grid = _intern(grids, det)
+    elif _setting_key(setting) not in grids:
+        raise ValueError(f"{path} holds gains only, and the manifest has no detuning axis "
+                         f"for power setting {setting}")
+    else:
+        grid = grids[_setting_key(setting)]
+        if grid is None:
+            raise ValueError(f"the manifest's detuning axis for power setting {setting} is "
+                             f"not a string of comma-separated numbers")
+        if len(grid) != len(gain):
+            raise ValueError(f"{path} holds {len(gain)} gain samples, and the detuning axis "
+                             f"of power setting {setting} has {len(grid)}")
     drive = OpticalDrive(
         pump_power=entry["pump_w"],
         stokes_power=entry["probe_w"],
@@ -220,24 +306,61 @@ def read_trace(directory: Path, entry: dict, grids: Optional[dict] = None) -> BG
         drive=drive,
         seed=int(entry.get("seed", 0)),
         timestamp_index=int(entry.get("timestamp_index", 0)),
-        setting_index=int(entry.get("setting_index", 0)),
+        setting_index=setting,
         peak_intensity=float(entry.get("peak_intensity_w_m2", 0.0)),
     )
 
 
-def write_manifest(directory: Path, entries: List[dict], config_doc: dict,
-                   config_hash: str, version: str) -> None:
+def _axis_text(axis_hz: np.ndarray) -> str:
+    """An axis as the manifest holds it: the values a v1 CSV's detuning
+    column holds, in the same digits, comma-separated."""
+    return format_rows(axis_hz.reshape(-1, 1)).decode().rstrip("\n").replace("\n", ",")
+
+
+def write_manifest(directory: Path, entries: List[dict], traces: List[BGSTrace],
+                   config_doc: dict, config_hash: str, version: str) -> None:
+    """Write ``manifest.json``: the ``entries`` :func:`write_trace` returned
+    for ``traces``, and the detuning axis of each power setting, in Hz.
+
+    Every trace of a setting must share that axis, since its CSV holds only
+    the gain.
+    """
+    axes = {}
+    for trace in traces:
+        grid = axes.setdefault(trace.setting_index, trace.detuning_grid)
+        if grid is not trace.detuning_grid and not np.array_equal(grid, trace.detuning_grid):
+            raise ValueError(f"the traces of power setting {trace.setting_index} have more "
+                             f"than one detuning axis")
     doc = {
-        "format": "tlsphonon-bgs-v1",
+        "format": FORMAT,
         "version": version,
         "config_sha256": config_hash,
         "config": config_doc,
+        AXES_KEY: {str(setting): _axis_text(grid / TWO_PI) for setting, grid in axes.items()},
         "traces": entries,
     }
     write_json(Path(directory) / "manifest.json", doc)
 
 
+def _axis_array(axis) -> Optional[np.ndarray]:
+    """A manifest axis, a string of comma-separated numbers, as a read-only
+    float array; None if it is anything else."""
+    if not isinstance(axis, str):
+        return None
+    try:
+        array = np.array(orjson.loads(f"[{axis}]"), dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    if array.ndim != 1:
+        return None
+    array.flags.writeable = False
+    return array
+
+
 def read_manifest(directory: Path) -> dict:
+    """The parsed ``manifest.json`` of a dataset, each of its detuning axes
+    turned into a read-only array (or None, see :func:`_axis_array`) as soon
+    as it is parsed, so no axis is held as a list of Python floats."""
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json in {directory}")
@@ -245,6 +368,12 @@ def read_manifest(directory: Path) -> dict:
     traces = require_key(doc, "traces", path)
     if not isinstance(traces, list):
         raise ValueError(f"{path}: key 'traces' must be a list, got {type(traces).__name__}")
+    axes = doc.get(AXES_KEY, {})
+    if not isinstance(axes, dict):
+        raise ValueError(f"{path}: key {AXES_KEY!r} must be an object, got "
+                         f"{type(axes).__name__}")
+    for setting, axis in axes.items():
+        axes[setting] = _axis_array(axis)
     return doc
 
 
@@ -272,20 +401,26 @@ def _off_grid(loaded: List[tuple]) -> List[int]:
     return [pos for pos, (setting, grid) in keys.items() if grid != majority[setting]]
 
 
-def load_dataset(directory: Path) -> List[tuple]:
+def load_dataset(directory: Path, manifest: Optional[dict] = None) -> List[tuple]:
     """All traces of a dataset as (entry, trace-or-None, labelled error-or-None).
 
-    Corrupted traces are surfaced rather than fatal, and so is a trace whose
-    detuning grid differs from the one most traces of its power setting
-    share; the caller decides how many failures the run tolerates. Traces
-    with one axis share one read-only grid array.
+    ``manifest`` is the dataset's :func:`read_manifest` doc, read here when
+    not given. Corrupted traces are surfaced rather than fatal, and so is a
+    trace of a power setting whose manifest axis is missing or unusable, and
+    a v1 trace whose detuning grid differs from the one most traces of its
+    power setting share; the caller decides how many failures the run
+    tolerates. Traces with one axis share one read-only grid array.
     """
     directory = Path(directory)
-    entries = read_manifest(directory)["traces"]
+    if manifest is None:
+        manifest = read_manifest(directory)
+    entries = manifest["traces"]
     labels = [f"trace {entry['file']}" if isinstance(entry, dict) and "file" in entry
               else f"manifest entry {pos}" for pos, entry in enumerate(entries)]
-    out = []
     grids = {}
+    for setting, axis_hz in manifest.get(AXES_KEY, {}).items():
+        grids[_setting_key(setting)] = None if axis_hz is None else _intern(grids, axis_hz)
+    out = []
     for entry, label in zip(entries, labels):
         try:
             out.append((entry, read_trace(directory, entry, grids), None))

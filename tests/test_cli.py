@@ -29,9 +29,9 @@ from tlsphonon.config import (
     parse_config,
 )
 from tlsphonon.constants import TWO_PI
-from tlsphonon.dataset import (_parse_lines, _parse_rows, format_rows, load_dataset,
-                               read_manifest, read_trace, write_manifest, write_spectrum,
-                               write_trace)
+from tlsphonon.dataset import (AXES_KEY, TRACE_HEADER, V1_TRACE_HEADER, _parse_lines,
+                               _parse_rows, format_rows, load_dataset, read_manifest,
+                               read_trace, write_manifest, write_trace)
 from tlsphonon.dissipation import decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import bin_traces, synth_sweep
@@ -72,6 +72,41 @@ def src_env():
     src = str(Path(tlsphonon.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def manifest_doc(data: Path) -> dict:
+    """A dataset's manifest as plain JSON values, to edit and write back."""
+    return json.loads((data / "manifest.json").read_text())
+
+
+def axis_text(axis_hz) -> str:
+    """An axis as the manifest holds it: its values in format_rows' digits,
+    comma-separated."""
+    return ",".join(format_rows(np.asarray(axis_hz, dtype=float).reshape(-1, 1)).decode().split())
+
+
+def axis_values(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+def write_v1_trace(path: Path, det_hz, gain) -> None:
+    """Write one spectrum as a v1 ``detuning_hz,gain_w`` CSV."""
+    path.write_bytes(f"{V1_TRACE_HEADER}\n".encode()
+                     + format_rows(np.column_stack((det_hz, gain))))
+
+
+def to_v1(data: Path) -> None:
+    """Rewrite a dataset in place in the v1 layout: each trace CSV gets its
+    setting's manifest axis as a ``detuning_hz`` column, and the manifest
+    loses its axes."""
+    manifest = manifest_doc(data)
+    axes = manifest.pop(AXES_KEY)
+    for entry in manifest["traces"]:
+        path = data / entry["file"]
+        gain = [float(v) for v in path.read_text().split()[1:]]
+        write_v1_trace(path, axis_values(axes[str(entry["setting_index"])]), gain)
+    manifest["format"] = "tlsphonon-bgs-v1"
+    (data / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
 def tree_digest(root: Path) -> str:
@@ -253,7 +288,9 @@ class TestDataset:
         config = parse_config(base_doc())
         traces = synth_sweep(config.sweep_plan())
         entry = write_trace(tmp_path, traces[0])
-        back = read_trace(tmp_path, entry)
+        write_manifest(tmp_path, [entry], traces[:1], {}, "", "")
+        [(_, back, err)] = load_dataset(tmp_path)
+        assert err is None
         assert np.allclose(back.detuning_grid, traces[0].detuning_grid, rtol=1e-15)
         assert np.array_equal(back.gain, traces[0].gain)
         assert back.temperature == traces[0].temperature
@@ -281,14 +318,16 @@ class TestDataset:
             grid[0] = 0.0
 
     def test_sign_of_a_zero_sample_keeps_a_trace_on_grid(self, tmp_path):
-        # bytes that differ only in -0.0 are two grid objects of one axis
+        # v1 axes whose bytes differ only in -0.0 are two grid objects of one axis
         [trace] = synth_sweep(parse_config(base_doc()).sweep_plan())[:1]
         axis_hz = np.arange(len(trace.gain), dtype=float) - 200.0
         signed = axis_hz.copy()
         signed[200] = -0.0
-        traces = [dataclasses.replace(trace, detuning_grid=axis * TWO_PI, timestamp_index=i)
-                  for i, axis in enumerate((axis_hz, signed, axis_hz))]
-        write_manifest(tmp_path, [write_trace(tmp_path, tr) for tr in traces], {}, "", "")
+        entries = []
+        for i, axis in enumerate((axis_hz, signed, axis_hz)):
+            entries.append(write_trace(tmp_path, dataclasses.replace(trace, timestamp_index=i)))
+            write_v1_trace(tmp_path / entries[-1]["file"], axis, trace.gain)
+        (tmp_path / "manifest.json").write_text(json.dumps({"traces": entries}))
         loaded = load_dataset(tmp_path)
         assert [err for _, _, err in loaded] == [None] * 3
         grids = [tr.detuning_grid for _, tr, _ in loaded]
@@ -297,10 +336,9 @@ class TestDataset:
         [(_, averaged, n)] = bin_traces([tr for _, tr, _ in loaded], 0.1)
         assert n == 3 and averaged.detuning_grid is grids[0]
 
-    def test_truncated_axis_is_off_grid(self, workspace, tmp_path):
-        _, _, data = workspace
+    def test_truncated_axis_is_off_grid(self, v1_workspace, tmp_path):
         broken = tmp_path / "broken"
-        shutil.copytree(data, broken)
+        shutil.copytree(v1_workspace, broken)
         victim = read_manifest(broken)["traces"][3]
         path = broken / victim["file"]
         path.write_text("".join(f"{line}\n" for line in path.read_text().splitlines()[:-1]))
@@ -325,6 +363,35 @@ class TestDataset:
             tracemalloc.stop()
         gain_bytes = sum(trace.gain.nbytes for _, trace, _ in loaded)
         assert len(loaded) == 144 and peak < 2.0 * gain_bytes
+
+    def test_manifest_axis_is_the_grid_bit_for_bit(self, workspace):
+        # each setting's axis is written once, in Hz, and parses back to the
+        # doubles the trace CSVs' detuning column held in v1; the CSVs hold
+        # one gain a line
+        _, config_path, data = workspace
+        traces = synth_sweep(load_config(config_path).sweep_plan())
+        manifest = read_manifest(data)
+        assert manifest["format"] == "tlsphonon-bgs-v2"
+        axes = manifest[AXES_KEY]
+        assert sorted(axes) == [str(setting) for setting in range(6)]
+        for trace in traces:
+            axis = axes[str(trace.setting_index)]
+            assert not axis.flags.writeable
+            assert bits(axis).tolist() == bits(trace.detuning_grid / TWO_PI).tolist()
+            lines = (data / f"trace_{trace.timestamp_index:05d}.csv").read_text().splitlines()
+            assert lines[0] == TRACE_HEADER
+            assert bits([float(v) for v in lines[1:]]).tolist() == bits(trace.gain).tolist()
+        # in the digits a v1 CSV's detuning column holds
+        column = format_rows((traces[0].detuning_grid / TWO_PI).reshape(-1, 1)).decode().split()
+        assert all(text.split(",") == column for text in manifest_doc(data)[AXES_KEY].values())
+
+    def test_a_setting_has_one_axis(self, tmp_path):
+        traces = synth_sweep(parse_config(base_doc()).sweep_plan())[:8]
+        victim = traces[7]
+        shifted = dataclasses.replace(victim, detuning_grid=victim.detuning_grid + 1.0)
+        with pytest.raises(ValueError, match=f"power setting {victim.setting_index} have "
+                                             f"more than one detuning axis"):
+            write_manifest(tmp_path, [], [*traces, shifted], {}, "", "")
 
 
 ENTRY = {"file": "spectrum.csv", "temperature_k": 1.2, "pump_w": 0.035, "probe_w": 0.001,
@@ -362,6 +429,7 @@ NUMBERS = st.one_of(
 )
 TOKENS = st.one_of(NUMBERS, st.text(alphabet="0123456789.eE+- ", max_size=6))
 ROW_BODIES = st.one_of(
+    st.lists(NUMBERS, max_size=6).map("\n".join),
     st.lists(st.tuples(NUMBERS, NUMBERS).map(",".join), max_size=6).map("\n".join),
     st.lists(st.lists(TOKENS, min_size=1, max_size=3).map(",".join), max_size=6)
     .map("\n".join),
@@ -369,8 +437,19 @@ ROW_BODIES = st.one_of(
 )
 
 
+def load_gain_only(directory: Path, body: str, axis_hz) -> tuple:
+    """(trace-or-None, error-or-None) of a one-trace dataset: ``body`` under
+    the gain-only header, on the manifest axis ``axis_hz`` (a JSON value)."""
+    (directory / ENTRY["file"]).write_bytes(f"{TRACE_HEADER}\n{body}".encode())
+    (directory / "manifest.json").write_text(json.dumps(
+        {"traces": [ENTRY], AXES_KEY: {"0": axis_hz}}))
+    [(_, trace, err)] = load_dataset(directory)
+    return trace, err
+
+
 class TestRowCodec:
-    """format_rows writes shortest round-trip rows; read_trace reads every v1 layout."""
+    """format_rows writes shortest round-trip rows; read_trace reads every
+    gain-only and v1 layout."""
 
     @given(gain=hnp.arrays(np.float64, st.integers(1, 40), elements=FINITE),
            det=hnp.arrays(np.float64, st.integers(1, 40),
@@ -381,8 +460,14 @@ class TestRowCodec:
         det = np.unique(det)[:len(gain)]
         gain = gain[:len(det)]
         assume(np.all(np.diff(det * TWO_PI) > 0.0))  # the increasing grid a trace demands
-        write_spectrum(tmp_path / ENTRY["file"], det, gain)
+        write_v1_trace(tmp_path / ENTRY["file"], det, gain)
         back = read_trace(tmp_path, ENTRY)
+        assert np.array_equal(bits(back.gain), bits(gain))
+        assert np.array_equal(bits(back.detuning_grid), bits(det * TWO_PI))
+        # gain-only, on the axis as the manifest's JSON holds it
+        body = format_rows(gain.reshape(-1, 1)).decode()
+        back, err = load_gain_only(tmp_path, body, axis_text(det))
+        assert err is None
         assert np.array_equal(bits(back.gain), bits(gain))
         assert np.array_equal(bits(back.detuning_grid), bits(det * TWO_PI))
 
@@ -424,6 +509,21 @@ class TestRowCodec:
     def test_list_rows_match_nested_json(self, rows):
         assert format_rows(rows) == nested_json_rows(rows)
 
+    @pytest.mark.parametrize("shape", [(4096, 11), (4001, 1)], ids=["model-block", "gain-column"])
+    def test_text_is_built_in_one_buffer(self, shape):
+        # a model.csv block and a long trace's gain column: the text is never
+        # held twice, so the peak stays under twice the output
+        rng = np.random.default_rng(0)
+        matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 12, shape)
+        tracemalloc.start()
+        try:
+            text = format_rows(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == nested_json_rows(matrix)
+        assert peak <= 2.0 * len(text)
+
     @pytest.mark.parametrize("rows, shape", [
         (np.zeros((3, 0)), r"shape \(3, 0\)"),
         ([[]], r"shape \(1, 0\)"),
@@ -434,25 +534,36 @@ class TestRowCodec:
         with pytest.raises(ValueError, match=shape):
             format_rows(rows)
 
-    @given(ROW_BODIES)
-    @example("1,2\n3,4")
-    @example(" 1 ,2\n-0.0,18446744073709551617 \n")
-    @example("1,2,3\n4")
-    @example("1\n2,3,4")
+    @given(header=st.sampled_from([TRACE_HEADER, V1_TRACE_HEADER]), body=ROW_BODIES)
+    @example(header=V1_TRACE_HEADER, body="1,2\n3,4")
+    @example(header=V1_TRACE_HEADER, body=" 1 ,2\n-0.0,18446744073709551617 \n")
+    @example(header=V1_TRACE_HEADER, body="1,2,3\n4")
+    @example(header=V1_TRACE_HEADER, body="1\n2,3,4")
+    @example(header=TRACE_HEADER, body="1\n-0.0\n 18446744073709551617 \n")
+    @example(header=TRACE_HEADER, body="1,2\n3")
+    @example(header=TRACE_HEADER, body="")
     @settings(max_examples=300)
-    def test_flat_reader_agrees_with_line_reader(self, body):
-        data = f"detuning_hz,gain_w\n{body}".encode()
+    def test_flat_reader_agrees_with_line_reader(self, header, body):
+        # both readers give the same doubles, or the flat one declines
+        data = f"{header}\n{body}".encode()
         rows = _parse_rows(data)
         if rows is None:
             return
         det, gain = _parse_lines(data.decode(), Path("spectrum.csv"))
-        assert rows.shape == (len(det), 2)
-        assert np.array_equal(bits(rows[:, 0]), bits(det))
-        assert np.array_equal(bits(rows[:, 1]), bits(gain))
+        width = 1 if header == TRACE_HEADER else 2
+        assert rows.shape == (len(gain), width)
+        assert (det is None) == (width == 1)
+        if width == 2:
+            assert np.array_equal(bits(rows[:, 0]), bits(det))
+        assert np.array_equal(bits(rows[:, -1]), bits(gain))
 
     def test_empty_spectrum_is_header_only(self, tmp_path):
-        write_spectrum(tmp_path / "empty.csv", np.array([]), np.array([]))
-        assert (tmp_path / "empty.csv").read_bytes() == b"detuning_hz,gain_w\n"
+        [trace] = synth_sweep(parse_config(base_doc()).sweep_plan())[:1]
+        empty = dataclasses.replace(trace, detuning_grid=np.array([]), gain=np.array([]))
+        write_manifest(tmp_path, [write_trace(tmp_path, empty)], [empty], {}, "", "")
+        assert (tmp_path / "trace_00000.csv").read_bytes() == b"gain_w\n"
+        [(_, back, err)] = load_dataset(tmp_path)
+        assert err is None and len(back.gain) == len(back.detuning_grid) == 0
 
     @pytest.mark.parametrize("body", [
         # repr's layout, as written before the codec: padded exponents
@@ -489,6 +600,39 @@ class TestRowCodec:
         (tmp_path / ENTRY["file"]).write_text(f"detuning_hz,gain_w\n{body}")
         with pytest.raises(ValueError, match=message):
             read_trace(tmp_path, ENTRY)
+
+    @pytest.mark.parametrize("body", [
+        "1e-05\n-0.0\n1e+16\n", "1.\n.5\n+2\n", " -2.5 \r\n5e-324\r\n\n\n",
+        "1\n-0\n18446744073709551616\n",
+    ], ids=["repr-layout", "non-json-tokens", "whitespace", "integers"])
+    def test_reads_every_gain_only_layout(self, tmp_path, body):
+        want = [float(v) for v in body.split()]
+        axis = np.arange(1.0, len(want) + 1.0)
+        back, err = load_gain_only(tmp_path, body, axis_text(axis))
+        assert err is None
+        assert np.array_equal(bits(back.gain), bits(want))
+        assert np.array_equal(bits(back.detuning_grid), bits(axis * TWO_PI))
+
+    @pytest.mark.parametrize("body, axis, message", [
+        ("1\n2,3\n4\n", "1,2,3", "too many values to unpack"),
+        ("1\n\n3\n", "1,2,3", "could not convert string to float: ''"),
+        ("1\nnull\n3\n", "1,2,3", "could not convert string to float: 'null'"),
+        ("1\nnan\n3\n", "1,2,3", "gain samples must be finite"),
+        ("1\n2\n", "1,2,3", "holds 2 gain samples, and the detuning axis of power "
+                             "setting 0 has 3"),
+        ("1\n2\n3\n", "1,3,2", "detuning grid must be strictly increasing"),
+        ("1\n2\n3\n", "1,x,3", "the manifest's detuning axis for power setting 0 is not a "
+                                 "string of comma-separated numbers"),
+        ("1\n2\n3\n", "1,[2],3", "is not a string of comma-separated numbers"),
+        ("1\n2\n3\n", [1, 2, 3], "is not a string of comma-separated numbers"),
+        ("1\n2\n3\n", 3, "is not a string of comma-separated numbers"),
+    ], ids=["two-columns", "blank-line", "null", "nan", "short", "unordered-axis",
+            "word-in-axis", "nested-axis", "list-axis", "number-axis"])
+    def test_damaged_gain_only_rows_keep_their_errors(self, tmp_path, body, axis, message):
+        trace, err = load_gain_only(tmp_path, body, axis)
+        assert trace is None
+        assert err.startswith(f"trace {ENTRY['file']}: ValueError: ")
+        assert message in err
 
 
 class TestGridParsing:
@@ -617,7 +761,7 @@ def _shift_one_grid_value(lines):
     return lines[:5] + [f"{(3.0 * float(f_hz) + nxt) / 4.0!r},{gain}"] + lines[6:]
 
 
-# ways to damage one trace file, as edits of its lines (header included)
+# ways to damage one v1 trace file, as edits of its lines (header included)
 TRACE_FAULTS = {
     "truncated": lambda lines: lines[:-1],
     "shifted-grid": _shift_one_grid_value,
@@ -625,6 +769,28 @@ TRACE_FAULTS = {
     "duplicate-row": lambda lines: lines[:6] + lines[5:],
     "swapped-rows": lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
     "empty": lambda lines: [],
+}
+
+# ways to damage one gain-only trace file, as edits of its lines (header included)
+GAIN_FAULTS = {
+    "gain-one-short": lambda lines: lines[:-1],
+    "gain-one-long": lambda lines: lines + [lines[-1]],
+    "gain-nan": lambda lines: lines[:5] + ["nan"] + lines[6:],
+}
+
+# ways to damage power setting 2's manifest axis, as edits of its values,
+# and the error each of its traces gets
+AXIS_FAULTS = {
+    "axis-missing": (lambda axis: DELETE,
+                     "the manifest has no detuning axis for power setting 2"),
+    "axis-not-increasing": (lambda axis: axis[:5] + [axis[6], axis[5]] + axis[7:],
+                            "detuning grid must be strictly increasing"),
+    "axis-one-short": (lambda axis: axis[:-1],
+                       "holds 401 gain samples, and the detuning axis of power setting 2 "
+                       "has 400"),
+    "axis-not-numbers": (lambda axis: axis[:5] + ["x"] + axis[6:],
+                         "the manifest's detuning axis for power setting 2 is not a string "
+                         "of comma-separated numbers"),
 }
 
 
@@ -659,6 +825,15 @@ def workspace(tmp_path_factory):
     return tmp, config_path, data
 
 
+@pytest.fixture(scope="module")
+def v1_workspace(workspace, tmp_path_factory):
+    """The workspace dataset rewritten in the v1 layout."""
+    data = tmp_path_factory.mktemp("v1") / "data"
+    shutil.copytree(workspace[2], data)
+    to_v1(data)
+    return data
+
+
 class TestCliSynthFit:
     def test_synth_outputs(self, workspace):
         tmp, config_path, data = workspace
@@ -667,9 +842,19 @@ class TestCliSynthFit:
         assert n == 4 * 6 * 2  # rungs x settings x repeats
         assert manifest["config_sha256"] == load_config(config_path).sha256
         csvs = sorted(data.glob("trace_*.csv"))
-        assert len(csvs) == n
+        assert len(csvs) == n and len(list(data.glob("trace_*.json"))) == n
         first = csvs[0].read_text().splitlines()
-        assert first[0] == "detuning_hz,gain_w"
+        assert first[0] == "gain_w" and len(first) == 1 + 401
+        assert sorted(manifest[AXES_KEY]) == [str(setting) for setting in range(6)]
+
+    def test_v1_copy_fits_byte_identically(self, workspace, v1_workspace, tmp_path):
+        # external data in the v1 layout fits exactly as the gain-only original
+        _, _, data = workspace
+        assert (v1_workspace / "trace_00000.csv").read_text().startswith(V1_TRACE_HEADER)
+        assert AXES_KEY not in manifest_doc(v1_workspace)
+        assert main(["fit", str(data), "--out", str(tmp_path / "v2")]) == 0
+        assert main(["fit", str(v1_workspace), "--out", str(tmp_path / "v1")]) == 0
+        assert tree_digest(tmp_path / "v1") == tree_digest(tmp_path / "v2")
 
     def test_synth_rerun_is_byte_identical(self, workspace, tmp_path):
         tmp, config_path, data = workspace
@@ -766,7 +951,7 @@ class TestCliSynthFit:
         data = tmp_path / "data"
         assert main(["synth", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(data)]) == 0
-        manifest = read_manifest(data)
+        manifest = manifest_doc(data)
         for entry in manifest["traces"][1::2]:
             entry["temperature_k"] += 0.0003
         (data / "manifest.json").write_text(json.dumps(manifest))
@@ -819,12 +1004,13 @@ class TestCliSynthFit:
     # ways to damage one manifest entry; an entry without a file is named by position
     ENTRY_FAULTS = ["missing-pump_w", "nan-pump_w", "missing-file", "not-an-object"]
 
-    @pytest.mark.parametrize("fault", [*TRACE_FAULTS, *ENTRY_FAULTS])
-    def test_damaged_trace_is_recorded_and_skipped(self, workspace, tmp_path, capsys, fault):
-        tmp, config_path, data = workspace
+    @pytest.mark.parametrize("fault", [*TRACE_FAULTS, *GAIN_FAULTS, *ENTRY_FAULTS])
+    def test_damaged_trace_is_recorded_and_skipped(self, workspace, v1_workspace, tmp_path,
+                                                   capsys, fault):
+        # TRACE_FAULTS damage a v1 trace, the others a gain-only one
         broken = tmp_path / "broken"
-        shutil.copytree(data, broken)
-        manifest = read_manifest(broken)
+        shutil.copytree(v1_workspace if fault in TRACE_FAULTS else workspace[2], broken)
+        manifest = manifest_doc(broken)
         victim = manifest["traces"][3]
         label = f"trace {victim['file']}"
         if fault in self.ENTRY_FAULTS:
@@ -841,7 +1027,7 @@ class TestCliSynthFit:
             (broken / "manifest.json").write_text(json.dumps(manifest))
         else:
             path = broken / victim["file"]
-            lines = TRACE_FAULTS[fault](path.read_text().splitlines())
+            lines = {**TRACE_FAULTS, **GAIN_FAULTS}[fault](path.read_text().splitlines())
             path.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "fit"
         capsys.readouterr()
@@ -851,6 +1037,35 @@ class TestCliSynthFit:
         assert capsys.readouterr().err.count("warning: ") == 1
         assert report["per_temperature"]
 
+    @pytest.mark.parametrize("fault", AXIS_FAULTS)
+    def test_damaged_axis_is_recorded_per_trace(self, workspace, tmp_path, capsys, fault):
+        # a power setting's manifest axis is damaged: each of its traces is
+        # one recorded error, and every table is what the fit writes without
+        # that setting
+        tmp, config_path, data = workspace
+        broken = tmp_path / "broken"
+        shutil.copytree(data, broken)
+        manifest = manifest_doc(broken)
+        damage, message = AXIS_FAULTS[fault]
+        axis = damage(manifest[AXES_KEY]["2"].split(","))
+        if axis is DELETE:
+            del manifest[AXES_KEY]["2"]
+        else:
+            manifest[AXES_KEY]["2"] = ",".join(axis)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["fit", str(broken), "--out", str(tmp_path / "fit")]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("warning: ") == 8
+        report = json.loads((tmp_path / "fit" / "report.json").read_text())
+        victims = [e["file"] for e in manifest["traces"] if e["setting_index"] == 2]
+        assert len(report["errors"]) == len(victims) == 8
+        for name, error in zip(victims, report["errors"]):
+            assert error.startswith(f"trace {name}: ValueError: ") and message in error
+        _, without = self._fit_without(data, tmp_path / "without", (2,))
+        for key in ("per_bin", "per_temperature", "freq_shift", "global"):
+            assert report[key] == without[key]
+
     @staticmethod
     def _fit_without(data, tmp_path, settings, shift_hz=None):
         """Fit a copy of ``data`` in which the traces of ``settings`` are left
@@ -858,18 +1073,15 @@ class TestCliSynthFit:
         shifted by it; returns the exit code and the report."""
         broken = tmp_path / "broken"
         shutil.copytree(data, broken)
-        manifest = read_manifest(broken)
-        victims = [e for e in manifest["traces"] if e["setting_index"] in settings]
+        manifest = manifest_doc(broken)
         if shift_hz is None:
-            manifest["traces"] = [e for e in manifest["traces"] if e not in victims]
-            (broken / "manifest.json").write_text(json.dumps(manifest))
+            manifest["traces"] = [e for e in manifest["traces"]
+                                  if e["setting_index"] not in settings]
         else:
-            for entry in victims:
-                path = broken / entry["file"]
-                header, *lines = path.read_text().splitlines()
-                rows = (line.split(",") for line in lines)
-                path.write_text("".join(f"{line}\n" for line in [header, *(
-                    f"{float(f_hz) + shift_hz!r},{gain}" for f_hz, gain in rows)]))
+            for setting in settings:
+                manifest[AXES_KEY][str(setting)] = axis_text(
+                    np.array(axis_values(manifest[AXES_KEY][str(setting)])) + shift_hz)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
         code = main(["fit", str(broken), "--out", str(tmp_path / "fit")])
         return code, json.loads((tmp_path / "fit" / "report.json").read_text())
 
@@ -1164,7 +1376,7 @@ class TestFailureContract:
         else:  # the config is parsed before any trace or table is read
             name = "manifest.json" if command == "fit-manifest" else "report.json"
             (tmp_path / "in").mkdir()
-            (tmp_path / "in" / name).write_text(json.dumps({**read_manifest(data), "config": doc}))
+            (tmp_path / "in" / name).write_text(json.dumps({**manifest_doc(data), "config": doc}))
             argv = (["fit", str(tmp_path / "in"), "--out", str(out)] if command == "fit-manifest"
                     else ["report", "--out", str(tmp_path / "in")])
         assert main(argv) == 2
