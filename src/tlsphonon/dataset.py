@@ -26,10 +26,8 @@ re-running an identical config produces byte-identical files.
 The row codec makes one flat pass each way. :func:`format_rows` dumps a
 table's row-major values as flat orjson lists of a few whole rows each,
 appended to one buffer, and turns every width-th comma into a newline with
-one numpy pass over each chunk. The trace reader takes the width from the
-header, checks in one numpy pass that every line holds that many values,
-then parses the values as one flat orjson list; a body it does not take
-goes to a line-at-a-time parser that reads any layout.
+one numpy pass over each chunk. Reading back, a gain-only body or manifest
+axis is one orjson list, and a v1 CSV is read line by line.
 
 A loaded dataset holds each detuning axis once. :func:`load_dataset`
 interns every axis, from the manifest or from a v1 CSV, by its exact
@@ -43,6 +41,7 @@ import json
 import math
 import re
 from collections import Counter
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 from typing import List, Optional
@@ -59,13 +58,12 @@ FORMAT = "tlsphonon-bgs-v2"
 AXES_KEY = "detuning_axes_hz"
 TRACE_HEADER = "gain_w"
 V1_TRACE_HEADER = "detuning_hz,gain_w"
-# values a line under each header a trace CSV may have
-_HEADER_WIDTHS = {TRACE_HEADER.encode(): 1, V1_TRACE_HEADER.encode(): 2}
-# every byte format_rows writes for finite values; any other goes to the line parser
-_ROW_BYTES = b"0123456789.eE+-, \n"
-# JSON reads the integer -0 as +0, where float() keeps the sign
+# the bytes of JSON numbers, of the commas between them and of JSON's whitespace
+_NUMBER_LIST_BYTES = b"0123456789.eE+-, \t\r\n"
+# JSON reads the integer -0 as +0, where float() keeps the sign; an exponent
+# -0 (1e-0), which format_rows never writes, is refused with it
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.\deE])")
-_COMMA, _NEWLINE, _OPEN, _CLOSE = b",\n[]"
+_COMMA, _NEWLINE = b",\n"
 # values per orjson dump in format_rows. A dump's bytes keep orjson's whole
 # buffer, ~16 kB for 512 values (~10 kB of text) and ~64 kB for 1024, so a
 # chunk stays small beside a large table's text
@@ -178,70 +176,37 @@ def write_trace(directory: Path, trace: BGSTrace) -> dict:
     return entry
 
 
-def _parse_rows(data: bytes):
-    """The (n, width) value matrix of a trace CSV in format_rows' layout, else None.
+def _json_numbers(text: bytes) -> Optional[list]:
+    """``text`` as one orjson list; None unless each comma-separated token is
+    a JSON number in the double range other than the integer ``-0``."""
+    if not text.translate(None, _NUMBER_LIST_BYTES) and not _INTEGER_MINUS_ZERO.search(text):
+        with suppress(ValueError):  # not JSON, or a number past the double range
+            return orjson.loads(b"[%b]" % text)
+    return None
 
-    The header gives the width: 1 under ``gain_w``, 2 under v1's
-    ``detuning_hz,gain_w``. The body is made a flat JSON list in place in
-    one copy of the file (the header's newline becomes ``[``, the final
-    newline ``]`` and every other newline ``,``) after one numpy pass checks
-    that every line holds width - 1 commas, so it is width values a line;
-    then one orjson parse. Anything else the line reader takes (``1.``,
-    ``.5``, ``+1``, ``nan``, CRLF, blank lines) returns None and goes to
-    :func:`_parse_lines`, and so does a body that is not width numbers a
-    line, so a damaged file fails with that parser's message.
-    """
-    head, newline, _ = data[:len(V1_TRACE_HEADER) + 1].partition(b"\n")
-    width = _HEADER_WIDTHS.get(head) if newline else None
-    if width is None:
-        return None
-    text = bytearray(data)
-    del text[:len(head)]  # from the front of a bytearray: no copy
-    text[0] = _OPEN
-    if len(text) > 1 and text[-1] == _NEWLINE:
-        text[-1] = _CLOSE
-    else:
-        text.append(_CLOSE)
-    if text.translate(None, _ROW_BYTES) != b"[]" or _INTEGER_MINUS_ZERO.search(text):
-        return None
-    chars = np.frombuffer(text, dtype=np.uint8)
-    newlines = np.flatnonzero(chars == _NEWLINE)
-    if width == 1:
-        if _COMMA in text:
-            return None
-    else:
-        # width - 1 commas a line, each line's between the newlines around it
-        commas = np.flatnonzero(chars == _COMMA)
-        if len(commas) != (width - 1) * (len(newlines) + 1):
-            return None
-        if ((commas[width - 1::width - 1] < newlines).any()
-                or (commas[width - 2:-1:width - 1] > newlines).any()):
-            return None
-    chars[newlines] = _COMMA
-    try:
-        values = np.array(orjson.loads(text), dtype=np.float64)
-    except ValueError:  # not JSON, or a number past the double range
-        return None
-    return values.reshape(-1, width)
+
+def _number_list(text: bytes, source) -> np.ndarray:
+    """The comma-separated numbers of ``text`` as the doubles ``float()``
+    reads, or one ValueError naming ``source`` and the first token that is
+    not a JSON number in the double range (``1.``, ``.5``, ``+2``, ``nan``,
+    an empty token) or is the integer ``-0``."""
+    values = _json_numbers(text)
+    if values is None:
+        pos, token = next((pos, token) for pos, token in enumerate(text.split(b","), 1)
+                          if len(_json_numbers(token) or ()) != 1)
+        raise ValueError(f"{source}: value {pos}, {token.strip().decode(errors='replace')!r}, "
+                         f"is not a JSON number in the double range other than the integer -0")
+    return np.array(values, dtype=np.float64)
 
 
 def _parse_lines(text: str, path: Path):
-    """(detuning or None, gain) arrays of any trace CSV, one line at a time;
-    the detuning is None under the gain-only header."""
+    """(detuning, gain) arrays of a v1 CSV, line by line, taking any number ``float()`` reads."""
     raw = text.strip().splitlines()
-    width = _HEADER_WIDTHS.get(raw[0].strip().encode()) if raw else None
-    if width is None:
+    if not raw or raw[0].strip() != V1_TRACE_HEADER:
         raise ValueError(f"{path}: expected header {TRACE_HEADER!r}, or {V1_TRACE_HEADER!r} "
                          f"in v1 data")
-    cells = (line.split(",") for line in raw[1:])
-    if width == 1:
-        return None, np.array([float(g) for (g,) in cells])
-    det = []
-    gain = []
-    for a, b in cells:
-        det.append(float(a))
-        gain.append(float(b))
-    return np.array(det), np.array(gain)
+    cells = [line.split(",") for line in raw[1:]]
+    return np.array([float(a) for a, _ in cells]), np.array([float(b) for _, b in cells])
 
 
 def _intern(grids: dict, axis_hz: np.ndarray) -> np.ndarray:
@@ -272,12 +237,14 @@ def read_trace(directory: Path, entry: dict, grids: Optional[dict] = None) -> BG
     directory = Path(directory)
     path = directory / entry["file"]
     data = path.read_bytes()
-    rows = _parse_rows(data)
-    if rows is None:
+    head, _, body = data.partition(b"\n")
+    if head.strip() != TRACE_HEADER.encode():
         det, gain = _parse_lines(data.decode("utf-8"), path)
-    else:  # an owned gain: a column view would keep the whole matrix alive
-        det = rows[:, 0] if rows.shape[1] == 2 else None
-        gain = rows[:, -1].copy()
+    elif _COMMA in body:
+        raise ValueError(f"{path}: line {body.count(_NEWLINE, 0, body.index(_COMMA)) + 2} "
+                         f"holds more than one value, and a gain-only trace holds one a line")
+    else:
+        det, gain = None, _number_list(body.strip().replace(b"\n", b","), path)
     grids = {} if grids is None else grids
     setting = int(entry.get("setting_index", 0))
     if det is not None:
@@ -348,10 +315,8 @@ def _axis_array(axis) -> Optional[np.ndarray]:
     if not isinstance(axis, str):
         return None
     try:
-        array = np.array(orjson.loads(f"[{axis}]"), dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
-    if array.ndim != 1:
+        array = _number_list(axis.encode(), AXES_KEY)
+    except ValueError:
         return None
     array.flags.writeable = False
     return array

@@ -29,9 +29,9 @@ from tlsphonon.config import (
     parse_config,
 )
 from tlsphonon.constants import TWO_PI
-from tlsphonon.dataset import (AXES_KEY, TRACE_HEADER, V1_TRACE_HEADER, _parse_lines,
-                               _parse_rows, format_rows, load_dataset, read_manifest,
-                               read_trace, write_manifest, write_trace)
+from tlsphonon.dataset import (AXES_KEY, TRACE_HEADER, V1_TRACE_HEADER, _axis_array,
+                               format_rows, load_dataset, read_manifest, read_trace,
+                               write_manifest, write_trace)
 from tlsphonon.dissipation import decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import bin_traces, synth_sweep
@@ -394,7 +394,7 @@ class TestDataset:
             write_manifest(tmp_path, [], [*traces, shifted], {}, "", "")
 
 
-ENTRY = {"file": "spectrum.csv", "temperature_k": 1.2, "pump_w": 0.035, "probe_w": 0.001,
+ENTRY = {"file": "trace_00000.csv", "temperature_k": 1.2, "pump_w": 0.035, "probe_w": 0.001,
          "length_m": 100.0, "pump_frequency_hz": 1.94e14}
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308])
@@ -419,15 +419,19 @@ def nested_json_rows(rows) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-# bodies of trace CSVs over the bytes format_rows writes for finite values:
-# its own layout, lines of one to three tokens, and bytes at random
+# bodies of trace CSVs over the bytes format_rows writes for finite values
+# and its tokens for the others: its own layout, lines of one to three
+# tokens, and bytes at random
 ROW_ALPHABET = "0123456789.eE+-, \n"
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: orjson.dumps(v).decode()),
     st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["nan", "inf", "-inf"]),
 )
-TOKENS = st.one_of(NUMBERS, st.text(alphabet="0123456789.eE+- ", max_size=6))
+# numbers, bytes at random, and JSON values that are not numbers (float() refuses them)
+TOKENS = st.one_of(NUMBERS, st.text(alphabet="0123456789.eE+- ", max_size=6),
+                   st.sampled_from(["null", "true", '"2"', "[1]"]))
 ROW_BODIES = st.one_of(
     st.lists(NUMBERS, max_size=6).map("\n".join),
     st.lists(st.tuples(NUMBERS, NUMBERS).map(",".join), max_size=6).map("\n".join),
@@ -448,8 +452,8 @@ def load_gain_only(directory: Path, body: str, axis_hz) -> tuple:
 
 
 class TestRowCodec:
-    """format_rows writes shortest round-trip rows; read_trace reads every
-    gain-only and v1 layout."""
+    """format_rows writes shortest round-trip rows; read_trace reads a
+    gain-only body bit for bit or refuses it, and reads every v1 layout."""
 
     @given(gain=hnp.arrays(np.float64, st.integers(1, 40), elements=FINITE),
            det=hnp.arrays(np.float64, st.integers(1, 40),
@@ -534,28 +538,33 @@ class TestRowCodec:
         with pytest.raises(ValueError, match=shape):
             format_rows(rows)
 
-    @given(header=st.sampled_from([TRACE_HEADER, V1_TRACE_HEADER]), body=ROW_BODIES)
-    @example(header=V1_TRACE_HEADER, body="1,2\n3,4")
-    @example(header=V1_TRACE_HEADER, body=" 1 ,2\n-0.0,18446744073709551617 \n")
-    @example(header=V1_TRACE_HEADER, body="1,2,3\n4")
-    @example(header=V1_TRACE_HEADER, body="1\n2,3,4")
-    @example(header=TRACE_HEADER, body="1\n-0.0\n 18446744073709551617 \n")
-    @example(header=TRACE_HEADER, body="1,2\n3")
-    @example(header=TRACE_HEADER, body="")
-    @settings(max_examples=300)
-    def test_flat_reader_agrees_with_line_reader(self, header, body):
-        # both readers give the same doubles, or the flat one declines
-        data = f"{header}\n{body}".encode()
-        rows = _parse_rows(data)
-        if rows is None:
-            return
-        det, gain = _parse_lines(data.decode(), Path("spectrum.csv"))
-        width = 1 if header == TRACE_HEADER else 2
-        assert rows.shape == (len(gain), width)
-        assert (det is None) == (width == 1)
-        if width == 2:
-            assert np.array_equal(bits(rows[:, 0]), bits(det))
-        assert np.array_equal(bits(rows[:, -1]), bits(gain))
+    @given(body=ROW_BODIES)
+    @example(body="1,2\n3,4")
+    @example(body=" 1 ,2\n-0.0,18446744073709551617 \n")
+    @example(body="1,2,3\n4")
+    @example(body="1\n2,3,4")
+    @example(body="1\n-0.0\n 18446744073709551617 \n")
+    @example(body="1,2\n3")
+    @example(body="")
+    # a comma, and as many values as the 3-point axis: refused, not misaligned
+    @example(body="1,2\n4\n")
+    @example(body="1\n-0\n3\n")  # JSON reads the integer -0 as +0
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_number_lists_read_as_float_or_are_refused(self, tmp_path, body):
+        # a gain-only body, on an axis as long as its comma- and
+        # newline-separated values, reads as float() reads each line or is
+        # one recorded error
+        lines = body.strip().split("\n") if body.strip() else []
+        values = ",".join(lines).split(",") if lines else []
+        trace, err = load_gain_only(tmp_path, body, axis_text(np.arange(1.0, len(values) + 1.0)))
+        if trace is None:
+            assert err.startswith(f"trace {ENTRY['file']}: ValueError: ")
+        else:
+            assert np.array_equal(bits(trace.gain), bits([float(line) for line in lines]))
+        # the same tokens joined as a manifest axis
+        axis = _axis_array(",".join(lines))
+        if axis is not None:
+            assert np.array_equal(bits(axis), bits([float(v) for v in values]))
 
     def test_empty_spectrum_is_header_only(self, tmp_path):
         [trace] = synth_sweep(parse_config(base_doc()).sweep_plan())[:1]
@@ -602,9 +611,8 @@ class TestRowCodec:
             read_trace(tmp_path, ENTRY)
 
     @pytest.mark.parametrize("body", [
-        "1e-05\n-0.0\n1e+16\n", "1.\n.5\n+2\n", " -2.5 \r\n5e-324\r\n\n\n",
-        "1\n-0\n18446744073709551616\n",
-    ], ids=["repr-layout", "non-json-tokens", "whitespace", "integers"])
+        "1e-05\n-0.0\n1e+16\n", " -2.5 \r\n5e-324\r\n\n\n",
+    ], ids=["repr-layout", "whitespace"])
     def test_reads_every_gain_only_layout(self, tmp_path, body):
         want = [float(v) for v in body.split()]
         axis = np.arange(1.0, len(want) + 1.0)
@@ -614,10 +622,20 @@ class TestRowCodec:
         assert np.array_equal(bits(back.detuning_grid), bits(axis * TWO_PI))
 
     @pytest.mark.parametrize("body, axis, message", [
-        ("1\n2,3\n4\n", "1,2,3", "too many values to unpack"),
-        ("1\n\n3\n", "1,2,3", "could not convert string to float: ''"),
-        ("1\nnull\n3\n", "1,2,3", "could not convert string to float: 'null'"),
-        ("1\nnan\n3\n", "1,2,3", "gain samples must be finite"),
+        ("1\n2,3\n4\n", "1,2,3", "trace_00000.csv: line 3 holds more than one value"),
+        # a comma, and as many values as the axis: refused, not misaligned
+        ("1,2\n4\n", "1,2,3", "trace_00000.csv: line 2 holds more than one value"),
+        ("1\n\n3\n", "1,2,3", "trace_00000.csv: value 2, '', is not a JSON number"),
+        ("1\nnull\n3\n", "1,2,3", "trace_00000.csv: value 2, 'null', is not a JSON number"),
+        ("1\nnan\n3\n", "1,2,3", "trace_00000.csv: value 2, 'nan', is not a JSON number"),
+        # tokens float() takes and JSON does not
+        ("1.\n.5\n+2\n", "1,2,3", "trace_00000.csv: value 1, '1.', is not a JSON number"),
+        # JSON reads the integer -0 as +0
+        ("1\n-0\n18446744073709551616\n", "1,2,3",
+         "trace_00000.csv: value 2, '-0', is not a JSON number in the double range other "
+         "than the integer -0"),
+        ("1\n2\n3\n", "-1,-0,3", "the manifest's detuning axis for power setting 0 is "
+                                  "not a string of comma-separated numbers"),
         ("1\n2\n", "1,2,3", "holds 2 gain samples, and the detuning axis of power "
                              "setting 0 has 3"),
         ("1\n2\n3\n", "1,3,2", "detuning grid must be strictly increasing"),
@@ -626,7 +644,8 @@ class TestRowCodec:
         ("1\n2\n3\n", "1,[2],3", "is not a string of comma-separated numbers"),
         ("1\n2\n3\n", [1, 2, 3], "is not a string of comma-separated numbers"),
         ("1\n2\n3\n", 3, "is not a string of comma-separated numbers"),
-    ], ids=["two-columns", "blank-line", "null", "nan", "short", "unordered-axis",
+    ], ids=["two-columns", "comma-on-full-axis", "blank-line", "null", "nan",
+            "non-json-tokens", "integers", "minus-zero-axis", "short", "unordered-axis",
             "word-in-axis", "nested-axis", "list-axis", "number-axis"])
     def test_damaged_gain_only_rows_keep_their_errors(self, tmp_path, body, axis, message):
         trace, err = load_gain_only(tmp_path, body, axis)
