@@ -224,9 +224,11 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path, manifest: dict)
 
     for err in report["errors"]:
         print(f"warning: {err}", file=sys.stderr)
-    if result.n_fit_units == 0:  # no trace loaded, so no bin to fit
-        print(f"error: no fit units: {len(load_errors)} of {len(loaded)} traces failed to load",
-              file=sys.stderr)
+    if result.n_fit_units == 0:  # every trace failed to load or is in no finite bin
+        reason = f"{len(load_errors)} of {len(loaded)} traces failed to load"
+        if traces:
+            reason += f", and the other {len(traces)} are in no finite temperature bin"
+        print(f"error: no fit units: {reason}", file=sys.stderr)
         return 1
     if result.failure_fraction > 0.5:
         print(f"error: {result.n_failures}/{result.n_fit_units} fit units failed",

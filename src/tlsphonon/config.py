@@ -93,10 +93,15 @@ def _number(doc: dict, path: str, default=None):
     return value
 
 
+def is_integer(value) -> bool:
+    """A JSON integer; an integral float such as 2.0 counts, as in JSON Schema."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
 def _integer(doc: dict, path: str, default=None):
-    """An integer; an integral float such as 2.0 counts, as in JSON Schema."""
+    """An integer, as :func:`is_integer` reads one."""
     value = doc.get(path.rpartition(".")[2], default)
-    if not (_is_number(value) and (isinstance(value, int) or value.is_integer())):
+    if not is_integer(value):
         raise _invalid(path, "must be an integer", value)
     return value
 

@@ -98,11 +98,21 @@ def _assign_intensity(trace: BGSTrace, fit: LorentzianFit, config: RunConfig) ->
     return peak_phonon_intensity(trace.drive, fit.omega_hat, fit.gamma_hat, config.material)
 
 
-def _bin_stage(traces: List[BGSTrace], bin_width: float) -> List[FitUnit]:
-    """One unit per (setting, temperature bin), settings ascending, then bins."""
+def _bin_stage(traces: List[BGSTrace], bin_width: float,
+               errors: List[str]) -> List[FitUnit]:
+    """One unit per (setting, temperature bin), settings ascending, then bins;
+    a trace whose temperature is in no finite bin goes to ``errors``."""
+    binnable = []
+    for tr in traces:
+        if math.isfinite(tr.temperature / bin_width):
+            binnable.append(tr)
+        else:
+            errors.append(f"trace with timestamp_index {tr.timestamp_index}, power setting "
+                          f"{tr.setting_index}: temperature {tr.temperature!r} K is in no "
+                          f"finite bin of width {bin_width!r} K")
     setting_of = attrgetter("setting_index")
     return [FitUnit(setting, center, averaged, n_traces)
-            for setting, group in groupby(sorted(traces, key=setting_of), setting_of)
+            for setting, group in groupby(sorted(binnable, key=setting_of), setting_of)
             for center, averaged, n_traces in bin_traces(list(group), bin_width)]
 
 
@@ -270,7 +280,7 @@ def run_fit_pipeline(
     errors: List[str] = list(load_errors or [])
     notes: List[str] = []
 
-    units = _bin_stage(traces, float(fit_cfg["bin_width_k"]))
+    units = _bin_stage(traces, float(fit_cfg["bin_width_k"]), errors)
     fitted = _lorentz_stage(units, config, errors)
     report = {
         "version": __version__,

@@ -21,6 +21,7 @@ only an array argument, which means numpy is loaded already, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -38,7 +39,8 @@ def _require_positive(**kwargs):
         # ints and floats (numpy float scalars included) skip the array check:
         # it costs ~4 us and needs numpy, and a campaign validates ~20k scalars
         if isinstance(value, (int, float)):
-            if not isinstance(value, bool) and 0.0 < value < math.inf:
+            # an int past the double range is no finite double
+            if not isinstance(value, bool) and 0.0 < value <= sys.float_info.max:
                 continue
             got = repr(value)
         else:

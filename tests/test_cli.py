@@ -30,8 +30,8 @@ from tlsphonon.config import (
 )
 from tlsphonon.constants import TWO_PI
 from tlsphonon.dataset import (AXES_KEY, TRACE_HEADER, V1_TRACE_HEADER, _axis_array,
-                               format_rows, load_dataset, read_manifest, read_trace,
-                               write_manifest, write_trace)
+                               format_rows, load_dataset, read_manifest, write_manifest,
+                               write_trace)
 from tlsphonon.dissipation import decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import bin_traces, synth_sweep
@@ -302,10 +302,11 @@ class TestDataset:
         config = parse_config(base_doc())
         traces = synth_sweep(config.sweep_plan())
         entry = write_trace(tmp_path, traces[0])
-        path = tmp_path / entry["file"]
-        path.write_text("wrongheader\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            read_trace(tmp_path, entry)
+        (tmp_path / entry["file"]).write_text("wrongheader\n1,2\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({"traces": [entry]}))
+        [(_, trace, err)] = load_dataset(tmp_path)
+        assert trace is None
+        assert err.startswith(f"trace {entry['file']}: ValueError: ") and "header" in err
 
     def test_traces_of_one_axis_share_one_read_only_grid(self, workspace):
         _, _, data = workspace
@@ -318,7 +319,8 @@ class TestDataset:
             grid[0] = 0.0
 
     def test_sign_of_a_zero_sample_keeps_a_trace_on_grid(self, tmp_path):
-        # v1 axes whose bytes differ only in -0.0 are two grid objects of one axis
+        # v1 axes whose bytes differ only in -0.0 are one axis: they share the
+        # grid of the first trace on it
         [trace] = synth_sweep(parse_config(base_doc()).sweep_plan())[:1]
         axis_hz = np.arange(len(trace.gain), dtype=float) - 200.0
         signed = axis_hz.copy()
@@ -331,10 +333,34 @@ class TestDataset:
         loaded = load_dataset(tmp_path)
         assert [err for _, _, err in loaded] == [None] * 3
         grids = [tr.detuning_grid for _, tr, _ in loaded]
-        assert grids[0] is grids[2] and grids[1] is not grids[0]
-        assert np.signbit(grids[1][200]) and not np.signbit(grids[0][200])
+        assert grids[0] is grids[1] is grids[2]
+        assert not np.signbit(grids[0][200])
         [(_, averaged, n)] = bin_traces([tr for _, tr, _ in loaded], 0.1)
         assert n == 3 and averaged.detuning_grid is grids[0]
+
+    def test_layouts_of_one_setting_vote_together(self, workspace, tmp_path):
+        # power setting 2's eight traces: three gain-only on its manifest axis,
+        # two v1 on that axis and three v1 on a shifted one. The five on the
+        # manifest axis share one grid array, and the three, outvoted only
+        # when both layouts vote together, are refused
+        mixed = tmp_path / "mixed"
+        shutil.copytree(workspace[2], mixed)
+        manifest = manifest_doc(mixed)
+        axis = np.array(axis_values(manifest[AXES_KEY]["2"]))
+        victims = [e for e in manifest["traces"] if e["setting_index"] == 2]
+        for pos, entry in enumerate(victims[3:]):
+            path = mixed / entry["file"]
+            gain = [float(v) for v in path.read_text().split()[1:]]
+            write_v1_trace(path, axis if pos < 2 else axis + 1.0, gain)
+        loaded = load_dataset(mixed)
+        errors = [err for _, _, err in loaded if err is not None]
+        assert errors == [f"trace {e['file']}: ValueError: detuning grid differs from the one "
+                          f"shared by most traces of power setting 2" for e in victims[5:]]
+        on_axis = [tr for _, tr, _ in loaded if tr is not None and tr.setting_index == 2]
+        assert len(on_axis) == 5
+        grid = loaded[0][1].detuning_grid
+        assert all(tr.detuning_grid is grid for _, tr, _ in loaded if tr is not None)
+        assert bits(grid).tolist() == bits(axis * TWO_PI).tolist()
 
     def test_truncated_axis_is_off_grid(self, v1_workspace, tmp_path):
         broken = tmp_path / "broken"
@@ -441,6 +467,15 @@ ROW_BODIES = st.one_of(
 )
 
 
+def load_v1(directory: Path, body: str) -> tuple:
+    """(trace-or-None, error-or-None) of a one-trace dataset: ``body`` under
+    the v1 header, with no axis in the manifest."""
+    (directory / ENTRY["file"]).write_bytes(f"{V1_TRACE_HEADER}\n{body}".encode())
+    (directory / "manifest.json").write_text(json.dumps({"traces": [ENTRY]}))
+    [(_, trace, err)] = load_dataset(directory)
+    return trace, err
+
+
 def load_gain_only(directory: Path, body: str, axis_hz) -> tuple:
     """(trace-or-None, error-or-None) of a one-trace dataset: ``body`` under
     the gain-only header, on the manifest axis ``axis_hz`` (a JSON value)."""
@@ -452,7 +487,7 @@ def load_gain_only(directory: Path, body: str, axis_hz) -> tuple:
 
 
 class TestRowCodec:
-    """format_rows writes shortest round-trip rows; read_trace reads a
+    """format_rows writes shortest round-trip rows; load_dataset reads a
     gain-only body bit for bit or refuses it, and reads every v1 layout."""
 
     @given(gain=hnp.arrays(np.float64, st.integers(1, 40), elements=FINITE),
@@ -464,8 +499,8 @@ class TestRowCodec:
         det = np.unique(det)[:len(gain)]
         gain = gain[:len(det)]
         assume(np.all(np.diff(det * TWO_PI) > 0.0))  # the increasing grid a trace demands
-        write_v1_trace(tmp_path / ENTRY["file"], det, gain)
-        back = read_trace(tmp_path, ENTRY)
+        back, err = load_v1(tmp_path, format_rows(np.column_stack((det, gain))).decode())
+        assert err is None
         assert np.array_equal(bits(back.gain), bits(gain))
         assert np.array_equal(bits(back.detuning_grid), bits(det * TWO_PI))
         # gain-only, on the axis as the manifest's JSON holds it
@@ -561,9 +596,12 @@ class TestRowCodec:
             assert err.startswith(f"trace {ENTRY['file']}: ValueError: ")
         else:
             assert np.array_equal(bits(trace.gain), bits([float(line) for line in lines]))
-        # the same tokens joined as a manifest axis
-        axis = _axis_array(",".join(lines))
-        if axis is not None:
+        # the same tokens joined as a manifest axis, or one error naming the first bad one
+        try:
+            axis = _axis_array(",".join(lines), "axis")
+        except ValueError as exc:
+            assert str(exc).startswith("axis: value ")
+        else:
             assert np.array_equal(bits(axis), bits([float(v) for v in values]))
 
     def test_empty_spectrum_is_header_only(self, tmp_path):
@@ -585,8 +623,8 @@ class TestRowCodec:
         "1,-0\n2,3\n18446744073709551616,-9223372036854775809\n",
     ], ids=["repr-layout", "non-json-tokens", "whitespace", "integers"])
     def test_reads_every_v1_layout(self, tmp_path, body):
-        (tmp_path / ENTRY["file"]).write_bytes(f"detuning_hz,gain_w\n{body}".encode())
-        back = read_trace(tmp_path, ENTRY)
+        back, err = load_v1(tmp_path, body)
+        assert err is None
         want = np.array([[float(v) for v in line.split(",")]
                          for line in body.strip().splitlines() if line.strip()])
         assert np.array_equal(bits(back.detuning_grid), bits(want[:, 0] * TWO_PI))
@@ -606,9 +644,9 @@ class TestRowCodec:
     ], ids=["blank-line", "three-columns", "null", "quoted", "one-column", "ragged-3-1",
             "ragged-1-3", "overflow", "nan"])
     def test_damaged_rows_keep_their_errors(self, tmp_path, body, message):
-        (tmp_path / ENTRY["file"]).write_text(f"detuning_hz,gain_w\n{body}")
-        with pytest.raises(ValueError, match=message):
-            read_trace(tmp_path, ENTRY)
+        trace, err = load_v1(tmp_path, body)
+        assert trace is None
+        assert err.startswith(f"trace {ENTRY['file']}: ValueError: ") and message in err
 
     @pytest.mark.parametrize("body", [
         "1e-05\n-0.0\n1e+16\n", " -2.5 \r\n5e-324\r\n\n\n",
@@ -634,18 +672,23 @@ class TestRowCodec:
         ("1\n-0\n18446744073709551616\n", "1,2,3",
          "trace_00000.csv: value 2, '-0', is not a JSON number in the double range other "
          "than the integer -0"),
-        ("1\n2\n3\n", "-1,-0,3", "the manifest's detuning axis for power setting 0 is "
-                                  "not a string of comma-separated numbers"),
+        ("1\n2\n3\n", "-1,-0,3", "the manifest's detuning axis for power setting 0: value 2, "
+                                  "'-0', is not a JSON number in the double range other than "
+                                  "the integer -0"),
+        ("1\n2\n3\n", "1,1e400,3", "the manifest's detuning axis for power setting 0: "
+                                    "value 2, '1e400', is not a JSON number in the double range"),
         ("1\n2\n", "1,2,3", "holds 2 gain samples, and the detuning axis of power "
                              "setting 0 has 3"),
         ("1\n2\n3\n", "1,3,2", "detuning grid must be strictly increasing"),
-        ("1\n2\n3\n", "1,x,3", "the manifest's detuning axis for power setting 0 is not a "
-                                 "string of comma-separated numbers"),
-        ("1\n2\n3\n", "1,[2],3", "is not a string of comma-separated numbers"),
+        ("1\n2\n3\n", "1,x,3", "the manifest's detuning axis for power setting 0: value 2, "
+                                 "'x', is not a JSON number"),
+        ("1\n2\n3\n", "1,[2],3", "the manifest's detuning axis for power setting 0: value 2, "
+                                   "'[2]', is not a JSON number"),
         ("1\n2\n3\n", [1, 2, 3], "is not a string of comma-separated numbers"),
         ("1\n2\n3\n", 3, "is not a string of comma-separated numbers"),
     ], ids=["two-columns", "comma-on-full-axis", "blank-line", "null", "nan",
-            "non-json-tokens", "integers", "minus-zero-axis", "short", "unordered-axis",
+            "non-json-tokens", "integers", "minus-zero-axis", "overflow-axis", "short",
+            "unordered-axis",
             "word-in-axis", "nested-axis", "list-axis", "number-axis"])
     def test_damaged_gain_only_rows_keep_their_errors(self, tmp_path, body, axis, message):
         trace, err = load_gain_only(tmp_path, body, axis)
@@ -808,8 +851,8 @@ AXIS_FAULTS = {
                        "holds 401 gain samples, and the detuning axis of power setting 2 "
                        "has 400"),
     "axis-not-numbers": (lambda axis: axis[:5] + ["x"] + axis[6:],
-                         "the manifest's detuning axis for power setting 2 is not a string "
-                         "of comma-separated numbers"),
+                         "the manifest's detuning axis for power setting 2: value 6, 'x', is "
+                         "not a JSON number"),
 }
 
 
@@ -1082,6 +1125,72 @@ class TestCliSynthFit:
         for name, error in zip(victims, report["errors"]):
             assert error.startswith(f"trace {name}: ValueError: ") and message in error
         _, without = self._fit_without(data, tmp_path / "without", (2,))
+        for key in ("per_bin", "per_temperature", "freq_shift", "global"):
+            assert report[key] == without[key]
+
+    @pytest.mark.parametrize("value", [True, 1.5, -1, 2 ** 63, 2 ** 70, "2", None],
+                             ids=["true", "fraction", "negative", "2**63", "2**70", "string",
+                                  "null"])
+    def test_bad_setting_index_is_recorded(self, v1_workspace, tmp_path, capsys, value):
+        # a v1 trace needs no manifest axis, so only the index check stands
+        # between such a value and the fit; 2**70 overflowed the 64-bit ints
+        # of per_bin.csv
+        broken = tmp_path / "broken"
+        shutil.copytree(v1_workspace, broken)
+        manifest = manifest_doc(broken)
+        victim = manifest["traces"][3]
+        victim["setting_index"] = value
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["fit", str(broken), "--out", str(tmp_path / "fit")]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("warning: ") == 1
+        report = json.loads((tmp_path / "fit" / "report.json").read_text())
+        assert report["errors"] == [f"trace {victim['file']}: ValueError: setting_index must "
+                                    f"be an integer in [0, 2**63), got {value!r}"]
+
+    def test_integral_float_setting_index_is_the_integer(self, workspace, tmp_path):
+        # 2.0 is the integer 2, as in a config, and finds setting 2's axis
+        data = tmp_path / "data"
+        shutil.copytree(workspace[2], data)
+        manifest = manifest_doc(data)
+        victim = manifest["traces"][3]
+        victim["setting_index"] = float(victim["setting_index"])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        loaded = load_dataset(data)
+        assert [err for _, _, err in loaded] == [None] * 48
+        setting = loaded[3][1].setting_index
+        assert type(setting) is int and setting == victim["setting_index"]
+
+    @pytest.mark.parametrize("kelvin", [1e308, 10 ** 400], ids=["1e308", "10**400"])
+    def test_temperature_past_every_bin_is_recorded(self, workspace, tmp_path, capsys, kelvin):
+        # 1e308 K over the 0.1 K bin width is past every finite bin index, and
+        # the integer 10**400 is past the double range: the trace is one
+        # recorded error, and every table is what the fit writes without it
+        _, _, data = workspace
+        manifest = manifest_doc(data)
+        victim = manifest["traces"][3]
+        for name, traces in (("hot", edited(manifest["traces"], (3, "temperature_k"), kelvin)),
+                             ("without", manifest["traces"][:3] + manifest["traces"][4:])):
+            shutil.copytree(data, tmp_path / name)
+            (tmp_path / name / "manifest.json").write_text(json.dumps(
+                {**manifest, "traces": traces}))
+        capsys.readouterr()
+        assert main(["fit", str(tmp_path / "hot"), "--out", str(tmp_path / "hot-fit")]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("warning: ") == 1
+        assert main(["fit", str(tmp_path / "without"), "--out",
+                     str(tmp_path / "without-fit")]) == 0
+        report, without = (json.loads((tmp_path / f"{name}-fit" / "report.json").read_text())
+                           for name in ("hot", "without"))
+        if kelvin == 1e308:  # refused by the binning
+            error = (f"trace with timestamp_index {victim['timestamp_index']}, power setting "
+                     f"{victim['setting_index']}: temperature 1e+308 K is in no finite bin of "
+                     f"width 0.1 K")
+        else:  # refused by the loader
+            error = (f"trace {victim['file']}: ValueError: temperature must be finite and "
+                     f"> 0, got {kelvin!r}")
+        assert report["errors"] == [error]
         for key in ("per_bin", "per_temperature", "freq_shift", "global"):
             assert report[key] == without[key]
 
@@ -1487,6 +1596,23 @@ class TestFailureContract:
         assert last == "error: no fit units: 48 of 48 traces failed to load"
         result = run_fit_pipeline([], parse_config(base_doc()))
         assert result.n_fit_units == 0 and result.failure_fraction == 1.0
+
+    def test_bin_width_under_which_nothing_bins_is_one_error_line(self, workspace, tmp_path,
+                                                                  capsys):
+        # every temperature over a 1e-320 K bin width is past every finite
+        # bin index: one warning a trace, and an error line that says so
+        _, config_path, data = workspace
+        doc = edited(json.loads(config_path.read_text()), ("fit", "bin_width_k"), 1e-320)
+        capsys.readouterr()
+        assert main(["fit", str(data), "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "fit")]) == 1
+        err = capsys.readouterr().err
+        *warnings, last = err.splitlines()
+        assert "Traceback" not in err and len(warnings) == 48
+        assert all(w.startswith("warning: trace with timestamp_index ")
+                   and w.endswith(" K is in no finite bin of width 1e-320 K") for w in warnings)
+        assert last == ("error: no fit units: 0 of 48 traces failed to load, and the other 48 "
+                        "are in no finite temperature bin")
 
     @pytest.mark.parametrize("case", ["synth-without-synth-section", "fit-without-manifest"])
     def test_missing_input_is_one_error_line(self, tmp_path, capsys, case):
