@@ -14,9 +14,8 @@ read back.
 Externally measured data may keep the v1 layout: two-column
 ``detuning_hz,gain_w`` CSVs and no axes in the manifest. Such a trace
 carries its own axis, and one whose axis differs from the axis most traces
-of its power setting share is refused. A manifest entry's
-``peak_intensity_w_m2`` is optional for external data and recomputed from
-the fitted linewidth when absent.
+of its power setting share is refused. Like an instrument, a dataset holds
+no acoustic intensity; an old manifest's ``peak_intensity_w_m2`` is ignored.
 
 Every number the program writes to a CSV, here and in ``fit``'s and
 ``model``'s tables, goes through :func:`format_rows` in its shortest
@@ -171,7 +170,6 @@ def write_trace(directory: Path, trace: BGSTrace) -> dict:
         "seed": int(trace.seed),
         "timestamp_index": int(trace.timestamp_index),
         "setting_index": int(trace.setting_index),
-        "peak_intensity_w_m2": float(trace.peak_intensity),
     }
     write_json(directory / (name[:-4] + ".json"), sidecar)
     entry = {"file": name}
@@ -294,6 +292,15 @@ def read_manifest(directory: Path) -> dict:
     return doc
 
 
+def _index(entry: dict, key: str, bits: int) -> int:
+    """A manifest entry's ``key``, 0 when absent, as an integer in
+    [0, 2**``bits``), as :func:`~tlsphonon.config.is_integer` reads one."""
+    value = entry.get(key, 0)
+    if not (is_integer(value) and 0 <= value < 2 ** bits):
+        raise ValueError(f"{key} must be an integer in [0, 2**{bits}), got {value!r}")
+    return int(value)
+
+
 def load_dataset(directory: Path, manifest: Optional[dict] = None) -> List[tuple]:
     """All traces of a dataset as (entry, trace-or-None, labelled error-or-None).
 
@@ -328,11 +335,8 @@ def load_dataset(directory: Path, manifest: Optional[dict] = None) -> List[tuple
         try:
             path = directory / entry["file"]
             det, gain = _columns(path)
-            setting = entry.get("setting_index", 0)
-            if not (is_integer(setting) and 0 <= setting < 2 ** 63):
-                raise ValueError(f"setting_index must be an integer in [0, 2**63), "
-                                 f"got {setting!r}")
-            setting = int(setting)
+            setting, timestamp, seed = (_index(entry, key, bits) for key, bits in (
+                ("setting_index", 63), ("timestamp_index", 63), ("seed", 64)))
             if det is not None:
                 key, grid = grid_of(det)
             else:
@@ -357,10 +361,9 @@ def load_dataset(directory: Path, manifest: Optional[dict] = None) -> List[tuple
                 detuning_grid=grid,
                 gain=gain,
                 drive=drive,
-                seed=int(entry.get("seed", 0)),
-                timestamp_index=int(entry.get("timestamp_index", 0)),
+                seed=seed,
+                timestamp_index=timestamp,
                 setting_index=setting,
-                peak_intensity=float(entry.get("peak_intensity_w_m2", 0.0)),
             )
         except Exception as exc:
             label = (f"trace {entry['file']}" if isinstance(entry, dict) and "file" in entry

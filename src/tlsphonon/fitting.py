@@ -12,7 +12,8 @@ line centers.
 Every model a fit inverts is a forward function of :mod:`tlsphonon.dissipation`
 or :mod:`tlsphonon.sbs`, evaluated at unit P gamma^2 or gamma_L^2 where a fit
 needs a coefficient per unit of either. Both saturation fits are one least
-squares over the points of every bin at once.
+squares over the points of every bin at once, and their model is the root
+:func:`~tlsphonon.synth.saturated_linewidth` finds for the generator.
 
 The nonlinear fits, Lorentzian and saturation, share one bounded
 Levenberg-Marquardt solver, :func:`_levenberg_marquardt`, fed with analytic
@@ -37,15 +38,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .dissipation import (
-    freq_shift_res,
-    gamma_rel_closed,
-    gamma_res_strong,
-    gamma_res_weak,
-    suppression_factor,
-)
+from .dissipation import freq_shift_res, gamma_rel_closed, gamma_res_strong, gamma_res_weak
 from .sbs import lorentzian_profile
-from .synth import BGSTrace
+from .synth import BGSTrace, ConvergenceError, saturated_linewidth
 from .tls_core import MaterialParams, PhononMode, TLSEnsemble, jc_t1t2, min_lifetime
 
 MAX_FIT_EVALS = 500
@@ -346,9 +341,9 @@ def _coupling(p_gamma2: float) -> TLSEnsemble:
 
 def saturation_rate(j, p_gamma2, j_c, gamma0, mode: PhononMode,
                     material: MaterialParams, temperature: float):
-    """Gamma(J) = Gamma_res(J) + Gamma0 with P gamma^2 = ``p_gamma2``: the
-    model every saturation fit inverts. Everything but ``p_gamma2`` and
-    ``material`` may be an array, the mode frequency included."""
+    """Gamma(J) = Gamma_res(J) + Gamma0 with P gamma^2 = ``p_gamma2``; every
+    saturation fit inverts its fixed point at J = C / Gamma^2. All but
+    ``p_gamma2`` and ``material`` may be arrays, the mode frequency too."""
     return gamma_res_strong(mode, temperature, np.asarray(j, dtype=float), j_c,
                             material, _coupling(p_gamma2)) + gamma0
 
@@ -379,19 +374,22 @@ def _saturation_problem(bins, material: MaterialParams):
     points of all bins: a shared P gamma^2 plus a J_c and a Gamma0 per bin,
     each scaled by its :func:`_saturation_start` value, P gamma^2 by the
     median of the bins'. ``model(p)`` returns (rate - Gamma) / sigma, with
-    the :func:`saturation_rate` at ``p * scale``, and its Jacobian in ``p``.
+    the rate the fixed point of :func:`saturation_rate` at ``p * scale``,
+    and its Jacobian in ``p``.
 
-    The rate is linear in P gamma^2, so the residual is P gamma^2 times the
-    weak rate at unit coupling, u, evaluated once per point, over
-    :func:`~tlsphonon.dissipation.suppression_factor` S = sqrt(1 + J/J_c),
-    plus Gamma0. The Jacobian columns are u/S for P gamma^2,
-    P gamma^2 u J / (2 J_c^2 S^3) for J_c and 1 for Gamma0; a bin's J_c and
-    Gamma0 columns are nonzero only on its own points.
+    A point's J Gamma^2 = C depends on the powers only, so it is held, and
+    the rate is the root of Gamma = P gamma^2 u / S + Gamma0, with u the weak
+    rate at unit coupling and S = sqrt(1 + J/J_c) at J = C / Gamma^2. By the
+    implicit function theorem the columns u/S for P gamma^2,
+    P gamma^2 u J / (2 J_c^2 S^3) for J_c and 1 for Gamma0 are divided by
+    1 - P gamma^2 u (J/J_c) / (Gamma S^3); a bin's J_c and Gamma0 columns
+    are nonzero only on its own points. A root that fails is a FitError.
     """
     n = len(bins)
     arrays = [np.asarray(points, dtype=float) for _, _, points in bins]
     bin_of = np.repeat(np.arange(n), [len(a) for a in arrays])
     j, g, sigma = np.concatenate(arrays).T
+    coupling = j * g * g
     temperatures = np.array([t for t, _, _ in bins])[bin_of]
     # every bin probes one acoustic branch, so one mode object holds them all
     modes = PhononMode.in_material(material, np.array([m.omega for _, m, _ in bins])[bin_of],
@@ -411,14 +409,20 @@ def _saturation_problem(bins, material: MaterialParams):
     def model(p):
         x = p * scale
         j_c = x[1:1 + n][bin_of]
-        suppression = suppression_factor(j, j_c)
-        per_coupling = unit_rates / suppression
-        r = x[0] * per_coupling + x[1 + n:][bin_of] - g
+        weak = x[0] * unit_rates
+        try:
+            rate, _ = saturated_linewidth(weak, x[1 + n:][bin_of], coupling / j_c)
+        except ConvergenceError as exc:
+            raise FitError(f"saturation model: {exc}") from None
+        ratio = coupling / (j_c * rate * rate)  # J / J_c
+        suppression = np.sqrt(1.0 + ratio)
+        drag = weak * ratio / suppression ** 3  # P gamma^2 u (J/J_c) / S^3
         jac = template.copy()
-        jac[:, 0] = per_coupling
-        jac[rows, 1 + bin_of] = x[0] * per_coupling * j / (2.0 * j_c ** 2 * suppression ** 2)
+        jac[:, 0] = unit_rates / suppression
+        jac[rows, 1 + bin_of] = drag / (2.0 * j_c)
         jac *= scale
-        return r * weights, jac * weights[:, None]
+        jac *= (weights / (1.0 - drag / rate))[:, None]
+        return (rate - g) * weights, jac
 
     return model, scale
 

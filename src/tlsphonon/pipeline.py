@@ -4,7 +4,8 @@ Runs the full inverse chain -- per-setting temperature binning, Lorentzian
 fits, (shared or per-temperature) saturation fits, the critical-intensity
 power law, the offset decomposition, relaxation-time extraction, and the
 frequency-drift comparison -- collecting every stage's output into one
-report. Individual trace or bin failures are recorded and skipped; only a
+report. A unit's acoustic intensity is that of its drive at its fitted
+line. Individual trace or bin failures are recorded and skipped; only a
 majority of failures aborts a run. The text table of a report is rendered
 by :mod:`tlsphonon.report`.
 """
@@ -86,18 +87,6 @@ def _hz(x: float) -> float:
     return x / TWO_PI
 
 
-def _assign_intensity(trace: BGSTrace, fit: LorentzianFit, config: RunConfig) -> float:
-    """Peak acoustic intensity for a (trace, fit) pair.
-
-    Synthetic traces carry the self-consistent value; externally recorded
-    data falls back to the optical-power relation evaluated with the fitted
-    linewidth.
-    """
-    if trace.peak_intensity > 0.0:
-        return trace.peak_intensity
-    return peak_phonon_intensity(trace.drive, fit.omega_hat, fit.gamma_hat, config.material)
-
-
 def _bin_stage(traces: List[BGSTrace], bin_width: float,
                errors: List[str]) -> List[FitUnit]:
     """One unit per (setting, temperature bin), settings ascending, then bins;
@@ -127,8 +116,8 @@ def _lorentz_stage(units: List[FitUnit], config: RunConfig,
         except FitError as exc:
             errors.append(f"bin {unit.center:.3f} K setting {unit.setting}: {exc}")
             continue
-        fitted.append(replace(unit, fit=fit,
-                              intensity=_assign_intensity(unit.trace, fit, config)))
+        fitted.append(replace(unit, fit=fit, intensity=peak_phonon_intensity(
+            unit.trace.drive, fit.omega_hat, fit.gamma_hat, config.material)))
     return fitted
 
 

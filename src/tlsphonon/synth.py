@@ -12,9 +12,10 @@ axis is synthesizer-set and exact).
 At each rung the dissipation rate and the acoustic intensity are mutually
 dependent (the drive narrows the line, the narrower line amplifies the
 drive), so the pair is solved self-consistently at line center and the
-emitted spectrum is the exact Lorentzian for that operating point. The
-plan a campaign is expanded from, :class:`~tlsphonon.config.SweepPlan`, and
-its :class:`~tlsphonon.config.ForwardModel` are the config's types.
+emitted spectrum is the exact Lorentzian for that operating point: the
+root :func:`saturated_linewidth` finds, which the saturation fit inverts.
+The plan a campaign is expanded from, :class:`~tlsphonon.config.SweepPlan`,
+and its :class:`~tlsphonon.config.ForwardModel` are the config's types.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_POINTS, DEFAULT_SPAN_FWHM, ForwardModel, SweepPlan
-from .dissipation import gamma_res_weak, saturation_floor, suppression_factor
+from .dissipation import gamma_res_weak, saturation_floor
 from .sbs import OpticalDrive, g_b_at_linewidth, peak_phonon_intensity, stokes_gain
 from .tls_core import MaterialParams, PhononMode, _require_positive
 
@@ -35,9 +36,8 @@ FIXED_POINT_MAX_ITER = 200
 
 
 class ConvergenceError(ValueError):
-    """Fixed-point iteration for the (Gamma, J) operating point stalled: the
-    configured parameters admit no operating point, so, like any other bad
-    input, the command reports it as one ``error:`` line."""
+    """Newton's method for the (Gamma, J) operating point did not converge, a
+    sign of non-finite input: like any other bad input, one ``error:`` line."""
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,7 @@ class BGSTrace:
     """One recorded Brillouin gain spectrum.
 
     detuning_grid is strictly increasing [rad/s]; gain holds the Stokes
-    power increments [W]. peak_intensity is the self-consistent acoustic
-    intensity at line center for this trace's operating point, the quantity
-    the saturation analysis uses.
+    power increments [W]. Like an instrument, it records no acoustic intensity.
     """
 
     temperature: float
@@ -57,7 +55,6 @@ class BGSTrace:
     seed: int
     timestamp_index: int
     setting_index: int = 0
-    peak_intensity: float = 0.0
 
     def __post_init__(self):
         grid = np.asarray(self.detuning_grid, dtype=float)
@@ -108,12 +105,32 @@ class Rung:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Converged self-consistent line-center state of one acquisition."""
+    """Self-consistent line-center state of one acquisition, and its Newton steps."""
 
     gamma_total: float
     peak_intensity: float
     iterations: int
-    residual: float
+
+
+def saturated_linewidth(gamma_weak, floor, k):
+    """(Gamma, steps) of Gamma = gamma_weak / sqrt(1 + k / Gamma^2) + floor,
+    k = C / J_c with C = J Gamma^2 fixed by the drive; floats or arrays.
+
+    Newton on g = (Gamma - floor) sqrt(Gamma^2 + k) - gamma_weak Gamma from
+    gamma_weak + floor: g is convex on (floor, inf), g(floor) < 0 <=
+    g(gamma_weak + floor), so the iterates descend to the one root. It stops
+    once every step is under ``FIXED_POINT_TOL`` of Gamma.
+    """
+    gamma = gamma_weak + floor
+    for step in range(1, FIXED_POINT_MAX_ITER + 1):
+        root = np.sqrt(gamma * gamma + k)
+        above = gamma - floor
+        delta = (above * root - gamma_weak * gamma) / (root + above * gamma / root - gamma_weak)
+        gamma = gamma - delta
+        if np.all(delta < FIXED_POINT_TOL * gamma):
+            return gamma, step
+    raise ConvergenceError(f"(Gamma, J) fixed point not converged after {FIXED_POINT_MAX_ITER} "
+                           f"iterations; parameters are likely unphysical")
 
 
 def solve_self_consistent(
@@ -123,43 +140,27 @@ def solve_self_consistent(
     *,
     center: Optional[float] = None,
 ) -> OperatingPoint:
-    """Solve the coupled (linewidth, intensity) fixed point at line center.
+    """Solve the coupled (linewidth, intensity) pair at line center.
 
     The peak intensity scales as 1/Gamma^2 (one 1/Gamma from the steady
     state, one from the gain-linewidth product), while the resonant loss
-    shrinks as the intensity saturates it. The map Gamma -> Gamma(J(Gamma))
-    is monotone, so plain iteration converges for physical parameters;
-    failure to do so within ``FIXED_POINT_MAX_ITER`` iterations raises
-    :class:`ConvergenceError`.
+    shrinks as the intensity saturates it; :func:`saturated_linewidth`
+    finds the one linewidth that closes the loop.
     """
     return _solve_at(Rung.at(temperature, model, center), drive, model.material)
 
 
 def _solve_at(rung: Rung, drive: OpticalDrive, material: MaterialParams) -> OperatingPoint:
     """:func:`solve_self_consistent` at a rung whose shared quantities are known."""
-    gamma_weak, floor, j_c = rung.gamma_weak, rung.floor, rung.j_c
     # J_peak(Gamma) = coupling / Gamma^2, so coupling is J_peak at unit linewidth
-    coupling = peak_phonon_intensity(drive, rung.center, 1.0, material)
-
-    gamma = gamma_weak + floor
-    for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
-        j_peak = coupling / gamma ** 2
-        new_gamma = gamma_weak / suppression_factor(j_peak, j_c) + floor
-        residual = abs(new_gamma - gamma) / new_gamma
-        gamma = new_gamma
-        if residual < FIXED_POINT_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"(Gamma, J) fixed point not converged after {FIXED_POINT_MAX_ITER} iterations "
-            f"(last relative step {residual:.3e}); parameters are likely unphysical"
-        )
-    return OperatingPoint(
-        gamma_total=gamma,
-        peak_intensity=coupling / gamma ** 2,
-        iterations=iteration,
-        residual=residual,
-    )
+    with np.errstate(over="ignore"):
+        coupling = peak_phonon_intensity(drive, rung.center, 1.0, material)
+    if not coupling < math.inf:
+        raise ValueError(f"power setting ({drive.pump_power!r} W, {drive.stokes_power!r} W): "
+                         f"its acoustic intensity at unit linewidth overflows a double")
+    gamma, steps = saturated_linewidth(rung.gamma_weak, rung.floor, coupling / rung.j_c)
+    return OperatingPoint(gamma_total=gamma, peak_intensity=coupling / gamma ** 2,
+                          iterations=steps)
 
 
 def _trace_seed(base_seed: int, timestamp_index: int) -> int:
@@ -263,7 +264,6 @@ def run_acquisition(acq: Acquisition, model: ForwardModel, noise_sigma: float,
         seed=int(acq.seed),
         timestamp_index=acq.timestamp_index,
         setting_index=acq.setting_index,
-        peak_intensity=point.peak_intensity,
     )
 
 
@@ -281,9 +281,9 @@ def bin_traces(
     All traces must share one detuning grid; resampling is out of scope and
     mismatched grids are rejected. Returns (bin center, averaged trace,
     number of member traces) sorted by bin center, empty bins omitted. The
-    averaged trace carries the mean member temperature and mean peak
-    intensity; drive and indices come from the first member. A lone member
-    is its own mean, so its bin shares its gain array.
+    averaged trace carries the mean member temperature; drive and indices
+    come from the first member. A lone member is its own mean, so its bin
+    shares its gain array.
     """
     _require_positive(bin_width=bin_width)
     if not traces:
@@ -312,7 +312,6 @@ def bin_traces(
             seed=first.seed,
             timestamp_index=first.timestamp_index,
             setting_index=first.setting_index,
-            peak_intensity=float(np.mean([m.peak_intensity for m in members])),
         )
         out.append(((idx + 0.5) * bin_width, averaged, len(members)))
     return out

@@ -518,18 +518,33 @@ def saturation_bins(ge_doped, temperatures, n=12, noise=0.01, seed=0, spread=Tru
 
 
 def saturation_oracle_residual(bins, material, scale):
-    """The residual of saturation_rate over all bins' points, over each
-    point's sigma, in scaled parameters."""
+    """The residual of the fixed point of saturation_rate over all bins'
+    points, over each point's sigma, in scaled parameters. Each point holds
+    its J Gamma^2 = C, and its rate is the root of
+    Gamma - saturation_rate(C / Gamma^2) that brentq brackets by
+    [Gamma0, Gamma_w + Gamma0], with no code of the fit's own solver."""
+    from scipy.optimize import brentq
+
     n = len(bins)
     bin_of = np.repeat(np.arange(n), [len(points) for _, _, points in bins])
     j, g, sigma = np.concatenate([np.asarray(points) for _, _, points in bins]).T
     temps = np.array([t for t, _, _ in bins])[bin_of]
-    modes = PhononMode.in_material(material, np.array([m.omega for _, m, _ in bins])[bin_of], "L")
+    modes = [PhononMode.in_material(material, m.omega, "L") for _, m, _ in bins]
 
     def residuals(p):
         x = p * scale
-        return (saturation_rate(j, x[0], x[1:1 + n][bin_of], x[1 + n:][bin_of],
-                                modes, material, temps) - g) / sigma
+        rates = []
+        for i, b in enumerate(bin_of):
+            args = (x[0], x[1 + b], x[1 + n + b], modes[b], material, temps[i])
+            coupling = j[i] * g[i] ** 2
+
+            def gap(gamma):
+                return gamma - saturation_rate(coupling / gamma ** 2, *args)
+
+            gamma0 = x[1 + n + b]
+            weak = saturation_rate(0.0, *args) - gamma0
+            rates.append(brentq(gap, gamma0, weak + gamma0, xtol=1e-300))
+        return (np.array(rates) - g) / sigma
 
     return residuals
 
@@ -658,3 +673,10 @@ class TestSolverOracle:
         with pytest.raises(FitError) as exc:
             fit_lorentzian(make_trace(ge_doped, noise=PEAK / 100.0, seed=6))
         assert str(exc.value) == "Lorentzian fit did not converge within 2 evaluations"
+        # an intensity that overflowed leaves the point's linewidth no root
+        # to converge to: a FitError, never the solver's ValueError
+        bins[1][2][0] = (math.inf, *bins[1][2][0][1:])
+        with pytest.raises(FitError) as exc, np.errstate(invalid="ignore"):
+            fit_saturation_shared(bins, material)
+        assert str(exc.value) == ("saturation model: (Gamma, J) fixed point not converged after "
+                                  "200 iterations; parameters are likely unphysical")
