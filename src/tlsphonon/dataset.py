@@ -1,4 +1,4 @@
-"""On-disk dataset format for gain spectra (``tlsphonon-bgs-v2``).
+"""On-disk dataset format for gain spectra (``tlsphonon-bgs-v3``).
 
 The synthesizer sets the detuning axis and only the gain is measured, so a
 dataset holds each power setting's axis once. ``manifest.json`` carries the
@@ -6,16 +6,18 @@ config, its SHA-256, the library version, every trace with its acquisition
 metadata, and under ``detuning_axes_hz`` the axis of each power setting,
 keyed by the setting index as a string: one string of its values in Hz,
 comma-separated, in the digits a v1 CSV's detuning column holds, so it
-parses back to the same doubles. Each trace is one CSV with the single
-column ``gain_w``, sampled on its setting's axis, plus a JSON sidecar
-repeating the trace's manifest entry. Only the CSVs and the manifest are
-read back.
+parses back to the same doubles. Each trace's gains, sampled on its
+setting's axis, are one ``.f64`` file of raw little-endian IEEE-754
+doubles with no header, beside a JSON sidecar repeating the trace's
+manifest entry. Only the ``.f64`` files and the manifest are read back.
 
 Externally measured data may keep the v1 layout: two-column
 ``detuning_hz,gain_w`` CSVs and no axes in the manifest. Such a trace
 carries its own axis, and one whose axis differs from the axis most traces
 of its power setting share is refused. Like an instrument, a dataset holds
 no acoustic intensity; an old manifest's ``peak_intensity_w_m2`` is ignored.
+The gain-only ``gain_w`` CSVs of ``tlsphonon-bgs-v2`` are refused, each
+with a note to re-run ``synth``.
 
 Every number the program writes to a CSV, here and in ``fit``'s and
 ``model``'s tables, goes through :func:`format_rows` in its shortest
@@ -25,16 +27,17 @@ re-running an identical config produces byte-identical files.
 The row codec makes one flat pass each way. :func:`format_rows` dumps a
 table's row-major values as flat orjson lists of a few whole rows each,
 appended to one buffer, and turns every width-th comma into a newline with
-one numpy pass over each chunk. Reading back, a gain-only body or manifest
-axis is one orjson list, and a v1 CSV is read line by line.
+one numpy pass over each chunk. Reading back, a manifest axis is one orjson
+list, and a v1 CSV is read line by line.
 
 A loaded dataset holds each detuning axis once. :func:`load_dataset` reads
 every trace in one pass and takes its grid from one table keyed by the
 values of its axis, from the manifest or from a v1 CSV (the axis's bytes,
 with -0.0 as 0.0), so traces on equal axes share one read-only grid array
-and only their gains are per trace: ~8 bytes a sample. Then each power
-setting votes once: its grid is the one most of its loaded traces are on,
-the earliest on a tie, and a trace on another grid is refused.
+and only their gains are per trace: the 8 bytes a sample the file holds.
+Then each power setting votes once: its grid is the one most of its loaded
+traces are on, the earliest on a tie, and a trace on another grid is
+refused.
 """
 
 from __future__ import annotations
@@ -56,9 +59,8 @@ from .constants import TWO_PI
 from .sbs import OpticalDrive
 from .synth import BGSTrace
 
-FORMAT = "tlsphonon-bgs-v2"
+FORMAT = "tlsphonon-bgs-v3"
 AXES_KEY = "detuning_axes_hz"
-TRACE_HEADER = "gain_w"
 V1_TRACE_HEADER = "detuning_hz,gain_w"
 # the bytes of JSON numbers, of the commas between them and of JSON's whitespace
 _NUMBER_LIST_BYTES = b"0123456789.eE+-, \t\r\n"
@@ -73,7 +75,7 @@ _CHUNK_VALUES = 512
 
 
 def trace_filename(index: int) -> str:
-    return f"trace_{index:05d}.csv"
+    return f"trace_{index:05d}.f64"
 
 
 def _token(value) -> bytes:
@@ -151,15 +153,15 @@ def write_json(path: Path, doc: dict) -> None:
 
 
 def write_trace(directory: Path, trace: BGSTrace) -> dict:
-    """Write one trace (gain CSV + JSON sidecar); returns its manifest entry.
+    """Write one trace (its gains as raw little-endian doubles, and a JSON
+    sidecar); returns its manifest entry.
 
     The detuning axis is not written here: :func:`write_manifest` holds it
     once for the trace's power setting.
     """
     directory = Path(directory)
     name = trace_filename(trace.timestamp_index)
-    (directory / name).write_bytes(
-        TRACE_HEADER.encode() + b"\n" + format_rows(trace.gain.reshape(-1, 1)))
+    (directory / name).write_bytes(trace.gain.astype("<f8").tobytes())
 
     sidecar = {
         "temperature_k": float(trace.temperature),
@@ -200,28 +202,25 @@ def _number_list(text: bytes, source) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _parse_lines(text: str, path: Path):
-    """(detuning, gain) arrays of a v1 CSV, line by line, taking any number ``float()`` reads."""
-    raw = text.strip().splitlines()
-    if not raw or raw[0].strip() != V1_TRACE_HEADER:
-        raise ValueError(f"{path}: expected header {TRACE_HEADER!r}, or {V1_TRACE_HEADER!r} "
-                         f"in v1 data")
+def _columns(path: Path):
+    """(detuning [Hz], gain) arrays of a v1 trace CSV, read line by line and
+    taking any number ``float()`` reads, or (None, gain) of a ``.f64``
+    trace, whose gain is a read-only view of the file's bytes."""
+    if path.suffix == ".f64":
+        data = path.read_bytes()
+        if len(data) % 8:
+            raise ValueError(f"{path} holds {len(data)} bytes, not a whole number of "
+                             f"8-byte doubles")
+        return None, np.frombuffer(data, "<f8")
+    raw = path.read_text(encoding="utf-8").strip().splitlines()
+    head = raw[0].strip() if raw else ""
+    if head == "gain_w":
+        raise ValueError(f"{path}: header 'gain_w' opens a gain-only CSV of tlsphonon-bgs-v2, "
+                         f"which is no longer read; re-run synth with the manifest's config")
+    if head != V1_TRACE_HEADER:
+        raise ValueError(f"{path}: expected header {V1_TRACE_HEADER!r}")
     cells = [line.split(",") for line in raw[1:]]
     return np.array([float(a) for a, _ in cells]), np.array([float(b) for _, b in cells])
-
-
-def _columns(path: Path):
-    """(detuning [Hz], gain) arrays of a v1 trace CSV, or (None, gain) of a
-    gain-only one. The file's bytes go on return: held into the next read,
-    they raised the campaign ``fit``'s peak RSS by ~0.8 MB."""
-    data = path.read_bytes()
-    head, _, body = data.partition(b"\n")
-    if head.strip() != TRACE_HEADER.encode():
-        return _parse_lines(data.decode("utf-8"), path)
-    if _COMMA in body:
-        raise ValueError(f"{path}: line {body.count(_NEWLINE, 0, body.index(_COMMA)) + 2} "
-                         f"holds more than one value, and a gain-only trace holds one a line")
-    return None, _number_list(body.strip().replace(b"\n", b","), path)
 
 
 def _axis_text(axis_hz: np.ndarray) -> str:
@@ -235,7 +234,7 @@ def write_manifest(directory: Path, entries: List[dict], traces: List[BGSTrace],
     """Write ``manifest.json``: the ``entries`` :func:`write_trace` returned
     for ``traces``, and the detuning axis of each power setting, in Hz.
 
-    Every trace of a setting must share that axis, since its CSV holds only
+    Every trace of a setting must share that axis, since its file holds only
     the gain.
     """
     axes = {}
@@ -305,7 +304,7 @@ def load_dataset(directory: Path, manifest: Optional[dict] = None) -> List[tuple
     """All traces of a dataset as (entry, trace-or-None, labelled error-or-None).
 
     ``manifest`` is the dataset's :func:`read_manifest` doc, read here when
-    not given. A gain-only trace is on its power setting's manifest axis, a
+    not given. A ``.f64`` trace is on its power setting's manifest axis, a
     v1 trace on its own, and each setting's grid is the one most of its
     loaded traces are on (the earliest on a tie). A corrupted trace, every
     trace of a setting whose manifest axis is missing or refused, and a trace

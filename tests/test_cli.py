@@ -29,9 +29,8 @@ from tlsphonon.config import (
     parse_config,
 )
 from tlsphonon.constants import TWO_PI
-from tlsphonon.dataset import (AXES_KEY, TRACE_HEADER, V1_TRACE_HEADER, _axis_array,
-                               format_rows, load_dataset, read_manifest, write_manifest,
-                               write_trace)
+from tlsphonon.dataset import (AXES_KEY, V1_TRACE_HEADER, _axis_array, format_rows,
+                               load_dataset, read_manifest, write_manifest, write_trace)
 from tlsphonon.dissipation import decay_length, q_factor, total_linewidth
 from tlsphonon.pipeline import TABLE_COLUMNS, run_fit_pipeline
 from tlsphonon.synth import bin_traces, synth_sweep
@@ -95,16 +94,28 @@ def write_v1_trace(path: Path, det_hz, gain) -> None:
                      + format_rows(np.column_stack((det_hz, gain))))
 
 
+def gains_of(path: Path) -> np.ndarray:
+    """The gains of a ``.f64`` trace file."""
+    return np.frombuffer(path.read_bytes(), "<f8")
+
+
+def rewrite_v1(directory: Path, entry: dict, det_hz, gain) -> None:
+    """Replace the trace file of manifest ``entry`` by a v1 CSV of ``det_hz``
+    and ``gain``, named as the trace with ``.csv``, and point ``entry`` at it."""
+    (directory / entry["file"]).unlink(missing_ok=True)
+    entry["file"] = entry["file"].rsplit(".", 1)[0] + ".csv"
+    write_v1_trace(directory / entry["file"], det_hz, gain)
+
+
 def to_v1(data: Path) -> None:
-    """Rewrite a dataset in place in the v1 layout: each trace CSV gets its
-    setting's manifest axis as a ``detuning_hz`` column, and the manifest
-    loses its axes."""
+    """Rewrite a dataset in place in the v1 layout: each ``.f64`` trace
+    becomes a CSV with its setting's manifest axis as a ``detuning_hz``
+    column, and the manifest loses its axes."""
     manifest = manifest_doc(data)
     axes = manifest.pop(AXES_KEY)
     for entry in manifest["traces"]:
-        path = data / entry["file"]
-        gain = [float(v) for v in path.read_text().split()[1:]]
-        write_v1_trace(path, axis_values(axes[str(entry["setting_index"])]), gain)
+        gain = gains_of(data / entry["file"])
+        rewrite_v1(data, entry, axis_values(axes[str(entry["setting_index"])]), gain)
     manifest["format"] = "tlsphonon-bgs-v1"
     (data / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
@@ -286,23 +297,30 @@ class TestConfig:
 class TestDataset:
     def test_trace_round_trip(self, tmp_path, ge_doped):
         config = parse_config(base_doc())
-        traces = synth_sweep(config.sweep_plan())
-        entry = write_trace(tmp_path, traces[0])
+        [first] = synth_sweep(config.sweep_plan())[:1]
+        gain = first.gain.copy()
+        gain[[0, 200, -1]] = -0.0, 5e-324, -gain[-1]  # a signed zero, a subnormal
+        trace = dataclasses.replace(first, gain=gain)
+        entry = write_trace(tmp_path, trace)
         # a dataset records the powers, not the acoustic intensity they drive
         assert "peak_intensity_w_m2" not in entry
-        write_manifest(tmp_path, [entry], traces[:1], {}, "", "")
+        assert (tmp_path / entry["file"]).read_bytes() == gain.astype("<f8").tobytes()
+        write_manifest(tmp_path, [entry], [trace], {}, "", "")
         [(_, back, err)] = load_dataset(tmp_path)
         assert err is None
-        assert np.allclose(back.detuning_grid, traces[0].detuning_grid, rtol=1e-15)
-        assert np.array_equal(back.gain, traces[0].gain)
-        assert back.temperature == traces[0].temperature
-        for column in (back.detuning_grid, back.gain):  # owned, not views of a parse buffer
-            assert column.base is None and column.flags.c_contiguous
+        assert np.allclose(back.detuning_grid, trace.detuning_grid, rtol=1e-15)
+        assert back.gain.tobytes() == gain.tobytes()
+        assert back.temperature == trace.temperature
+        # the grid is owned; the gain is a read-only view of the file's bytes alone
+        assert back.detuning_grid.base is None and back.detuning_grid.flags.c_contiguous
+        assert isinstance(back.gain.base, bytes) and len(back.gain.base) == back.gain.nbytes
+        assert not back.gain.flags.writeable
 
     def test_header_enforced(self, tmp_path):
         config = parse_config(base_doc())
         traces = synth_sweep(config.sweep_plan())
         entry = write_trace(tmp_path, traces[0])
+        entry["file"] = "trace_00000.csv"  # a CSV is read as v1
         (tmp_path / entry["file"]).write_text("wrongheader\n1,2\n")
         (tmp_path / "manifest.json").write_text(json.dumps({"traces": [entry]}))
         [(_, trace, err)] = load_dataset(tmp_path)
@@ -329,7 +347,7 @@ class TestDataset:
         entries = []
         for i, axis in enumerate((axis_hz, signed, axis_hz)):
             entries.append(write_trace(tmp_path, dataclasses.replace(trace, timestamp_index=i)))
-            write_v1_trace(tmp_path / entries[-1]["file"], axis, trace.gain)
+            rewrite_v1(tmp_path, entries[-1], axis, trace.gain)
         (tmp_path / "manifest.json").write_text(json.dumps({"traces": entries}))
         loaded = load_dataset(tmp_path)
         assert [err for _, _, err in loaded] == [None] * 3
@@ -340,7 +358,7 @@ class TestDataset:
         assert n == 3 and averaged.detuning_grid is grids[0]
 
     def test_layouts_of_one_setting_vote_together(self, workspace, tmp_path):
-        # power setting 2's eight traces: three gain-only on its manifest axis,
+        # power setting 2's eight traces: three binary on its manifest axis,
         # two v1 on that axis and three v1 on a shifted one. The five on the
         # manifest axis share one grid array, and the three, outvoted only
         # when both layouts vote together, are refused
@@ -350,9 +368,9 @@ class TestDataset:
         axis = np.array(axis_values(manifest[AXES_KEY]["2"]))
         victims = [e for e in manifest["traces"] if e["setting_index"] == 2]
         for pos, entry in enumerate(victims[3:]):
-            path = mixed / entry["file"]
-            gain = [float(v) for v in path.read_text().split()[1:]]
-            write_v1_trace(path, axis if pos < 2 else axis + 1.0, gain)
+            gain = gains_of(mixed / entry["file"])
+            rewrite_v1(mixed, entry, axis if pos < 2 else axis + 1.0, gain)
+        (mixed / "manifest.json").write_text(json.dumps(manifest))
         loaded = load_dataset(mixed)
         errors = [err for _, _, err in loaded if err is not None]
         assert errors == [f"trace {e['file']}: ValueError: detuning grid differs from the one "
@@ -393,21 +411,20 @@ class TestDataset:
 
     def test_manifest_axis_is_the_grid_bit_for_bit(self, workspace):
         # each setting's axis is written once, in Hz, and parses back to the
-        # doubles the trace CSVs' detuning column held in v1; the CSVs hold
-        # one gain a line
+        # doubles the trace CSVs' detuning column held in v1; a trace file
+        # holds its gains as raw little-endian doubles
         _, config_path, data = workspace
         traces = synth_sweep(load_config(config_path).sweep_plan())
         manifest = read_manifest(data)
-        assert manifest["format"] == "tlsphonon-bgs-v2"
+        assert manifest["format"] == "tlsphonon-bgs-v3"
         axes = manifest[AXES_KEY]
         assert sorted(axes) == [str(setting) for setting in range(6)]
         for trace in traces:
             axis = axes[str(trace.setting_index)]
             assert not axis.flags.writeable
             assert bits(axis).tolist() == bits(trace.detuning_grid / TWO_PI).tolist()
-            lines = (data / f"trace_{trace.timestamp_index:05d}.csv").read_text().splitlines()
-            assert lines[0] == TRACE_HEADER
-            assert bits([float(v) for v in lines[1:]]).tolist() == bits(trace.gain).tolist()
+            path = data / f"trace_{trace.timestamp_index:05d}.f64"
+            assert path.read_bytes() == trace.gain.astype("<f8").tobytes()
         # in the digits a v1 CSV's detuning column holds
         column = format_rows((traces[0].detuning_grid / TWO_PI).reshape(-1, 1)).decode().split()
         assert all(text.split(",") == column for text in manifest_doc(data)[AXES_KEY].values())
@@ -446,7 +463,7 @@ def nested_json_rows(rows) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-# bodies of trace CSVs over the bytes format_rows writes for finite values
+# lists of numbers, as rows of CSV text, over the bytes format_rows writes for finite values
 # and its tokens for the others: its own layout, lines of one to three
 # tokens, and bytes at random
 ROW_ALPHABET = "0123456789.eE+-, \n"
@@ -477,19 +494,26 @@ def load_v1(directory: Path, body: str) -> tuple:
     return trace, err
 
 
-def load_gain_only(directory: Path, body: str, axis_hz) -> tuple:
-    """(trace-or-None, error-or-None) of a one-trace dataset: ``body`` under
-    the gain-only header, on the manifest axis ``axis_hz`` (a JSON value)."""
-    (directory / ENTRY["file"]).write_bytes(f"{TRACE_HEADER}\n{body}".encode())
+def load_gain_only(directory: Path, gain, axis_hz) -> tuple:
+    """(trace-or-None, error-or-None) of a one-trace dataset on the manifest
+    axis ``axis_hz`` (a JSON value): a ``.f64`` file of the doubles
+    ``gain`` or, given a string, ``tlsphonon-bgs-v2``'s gain-only CSV, the
+    string under the header ``gain_w``."""
+    if isinstance(gain, str):
+        entry, data = ENTRY, f"gain_w\n{gain}".encode()
+    else:
+        entry, data = {**ENTRY, "file": "trace_00000.f64"}, np.asarray(gain, "<f8").tobytes()
+    (directory / entry["file"]).write_bytes(data)
     (directory / "manifest.json").write_text(json.dumps(
-        {"traces": [ENTRY], AXES_KEY: {"0": axis_hz}}))
+        {"traces": [entry], AXES_KEY: {"0": axis_hz}}))
     [(_, trace, err)] = load_dataset(directory)
     return trace, err
 
 
 class TestRowCodec:
     """format_rows writes shortest round-trip rows; load_dataset reads a
-    gain-only body bit for bit or refuses it, and reads every v1 layout."""
+    binary trace and a manifest axis bit for bit or refuses them, and reads
+    every v1 layout."""
 
     @given(gain=hnp.arrays(np.float64, st.integers(1, 40), elements=FINITE),
            det=hnp.arrays(np.float64, st.integers(1, 40),
@@ -504,9 +528,8 @@ class TestRowCodec:
         assert err is None
         assert np.array_equal(bits(back.gain), bits(gain))
         assert np.array_equal(bits(back.detuning_grid), bits(det * TWO_PI))
-        # gain-only, on the axis as the manifest's JSON holds it
-        body = format_rows(gain.reshape(-1, 1)).decode()
-        back, err = load_gain_only(tmp_path, body, axis_text(det))
+        # binary, on the axis as the manifest's JSON holds it
+        back, err = load_gain_only(tmp_path, gain, axis_text(det))
         assert err is None
         assert np.array_equal(bits(back.gain), bits(gain))
         assert np.array_equal(bits(back.detuning_grid), bits(det * TWO_PI))
@@ -582,22 +605,13 @@ class TestRowCodec:
     @example(body="1\n-0.0\n 18446744073709551617 \n")
     @example(body="1,2\n3")
     @example(body="")
-    # a comma, and as many values as the 3-point axis: refused, not misaligned
-    @example(body="1,2\n4\n")
     @example(body="1\n-0\n3\n")  # JSON reads the integer -0 as +0
-    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_number_lists_read_as_float_or_are_refused(self, tmp_path, body):
-        # a gain-only body, on an axis as long as its comma- and
-        # newline-separated values, reads as float() reads each line or is
-        # one recorded error
+    @settings(max_examples=300)
+    def test_number_lists_read_as_float_or_are_refused(self, body):
+        # the tokens joined as a manifest axis read as float() reads each, or
+        # are one error naming the first bad one
         lines = body.strip().split("\n") if body.strip() else []
         values = ",".join(lines).split(",") if lines else []
-        trace, err = load_gain_only(tmp_path, body, axis_text(np.arange(1.0, len(values) + 1.0)))
-        if trace is None:
-            assert err.startswith(f"trace {ENTRY['file']}: ValueError: ")
-        else:
-            assert np.array_equal(bits(trace.gain), bits([float(line) for line in lines]))
-        # the same tokens joined as a manifest axis, or one error naming the first bad one
         try:
             axis = _axis_array(",".join(lines), "axis")
         except ValueError as exc:
@@ -605,11 +619,11 @@ class TestRowCodec:
         else:
             assert np.array_equal(bits(axis), bits([float(v) for v in values]))
 
-    def test_empty_spectrum_is_header_only(self, tmp_path):
+    def test_empty_spectrum_is_an_empty_file(self, tmp_path):
         [trace] = synth_sweep(parse_config(base_doc()).sweep_plan())[:1]
         empty = dataclasses.replace(trace, detuning_grid=np.array([]), gain=np.array([]))
         write_manifest(tmp_path, [write_trace(tmp_path, empty)], [empty], {}, "", "")
-        assert (tmp_path / "trace_00000.csv").read_bytes() == b"gain_w\n"
+        assert (tmp_path / "trace_00000.f64").read_bytes() == b""
         [(_, back, err)] = load_dataset(tmp_path)
         assert err is None and len(back.gain) == len(back.detuning_grid) == 0
 
@@ -649,52 +663,41 @@ class TestRowCodec:
         assert trace is None
         assert err.startswith(f"trace {ENTRY['file']}: ValueError: ") and message in err
 
-    @pytest.mark.parametrize("body", [
-        "1e-05\n-0.0\n1e+16\n", " -2.5 \r\n5e-324\r\n\n\n",
-    ], ids=["repr-layout", "whitespace"])
-    def test_reads_every_gain_only_layout(self, tmp_path, body):
-        want = [float(v) for v in body.split()]
-        axis = np.arange(1.0, len(want) + 1.0)
-        back, err = load_gain_only(tmp_path, body, axis_text(axis))
-        assert err is None
-        assert np.array_equal(bits(back.gain), bits(want))
-        assert np.array_equal(bits(back.detuning_grid), bits(axis * TWO_PI))
+    # a string is tlsphonon-bgs-v2's gain-only CSV body: refused by its header,
+    # whatever the body, before any value or length is read
+    OLD_LAYOUT = "header 'gain_w' opens a gain-only CSV of tlsphonon-bgs-v2"
 
-    @pytest.mark.parametrize("body, axis, message", [
-        ("1\n2,3\n4\n", "1,2,3", "trace_00000.csv: line 3 holds more than one value"),
-        # a comma, and as many values as the axis: refused, not misaligned
-        ("1,2\n4\n", "1,2,3", "trace_00000.csv: line 2 holds more than one value"),
-        ("1\n\n3\n", "1,2,3", "trace_00000.csv: value 2, '', is not a JSON number"),
-        ("1\nnull\n3\n", "1,2,3", "trace_00000.csv: value 2, 'null', is not a JSON number"),
-        ("1\nnan\n3\n", "1,2,3", "trace_00000.csv: value 2, 'nan', is not a JSON number"),
-        # tokens float() takes and JSON does not
-        ("1.\n.5\n+2\n", "1,2,3", "trace_00000.csv: value 1, '1.', is not a JSON number"),
-        # JSON reads the integer -0 as +0
-        ("1\n-0\n18446744073709551616\n", "1,2,3",
-         "trace_00000.csv: value 2, '-0', is not a JSON number in the double range other "
-         "than the integer -0"),
-        ("1\n2\n3\n", "-1,-0,3", "the manifest's detuning axis for power setting 0: value 2, "
-                                  "'-0', is not a JSON number in the double range other than "
-                                  "the integer -0"),
-        ("1\n2\n3\n", "1,1e400,3", "the manifest's detuning axis for power setting 0: "
-                                    "value 2, '1e400', is not a JSON number in the double range"),
-        ("1\n2\n", "1,2,3", "holds 2 gain samples, and the detuning axis of power "
-                             "setting 0 has 3"),
-        ("1\n2\n3\n", "1,3,2", "detuning grid must be strictly increasing"),
-        ("1\n2\n3\n", "1,x,3", "the manifest's detuning axis for power setting 0: value 2, "
-                                 "'x', is not a JSON number"),
-        ("1\n2\n3\n", "1,[2],3", "the manifest's detuning axis for power setting 0: value 2, "
-                                   "'[2]', is not a JSON number"),
-        ("1\n2\n3\n", [1, 2, 3], "is not a string of comma-separated numbers"),
-        ("1\n2\n3\n", 3, "is not a string of comma-separated numbers"),
+    @pytest.mark.parametrize("gain, axis, message", [
+        ("1\n2,3\n4\n", "1,2,3", OLD_LAYOUT),
+        ("1,2\n4\n", "1,2,3", OLD_LAYOUT),
+        ("1\n\n3\n", "1,2,3", OLD_LAYOUT),
+        ("1\nnull\n3\n", "1,2,3", OLD_LAYOUT),
+        ("1\nnan\n3\n", "1,2,3", OLD_LAYOUT),
+        ("1.\n.5\n+2\n", "1,2,3", OLD_LAYOUT),
+        ("1\n-0\n18446744073709551616\n", "1,2,3", OLD_LAYOUT),
+        ([1, 2, 3], "-1,-0,3", "the manifest's detuning axis for power setting 0: value 2, "
+                               "'-0', is not a JSON number in the double range other than "
+                               "the integer -0"),
+        ([1, 2, 3], "1,1e400,3", "the manifest's detuning axis for power setting 0: "
+                                 "value 2, '1e400', is not a JSON number in the double range"),
+        ([1, 2], "1,2,3", "holds 2 gain samples, and the detuning axis of power "
+                          "setting 0 has 3"),
+        ([1, 2, 3], "1,3,2", "detuning grid must be strictly increasing"),
+        ([1, 2, 3], "1,x,3", "the manifest's detuning axis for power setting 0: value 2, "
+                             "'x', is not a JSON number"),
+        ([1, 2, 3], "1,[2],3", "the manifest's detuning axis for power setting 0: value 2, "
+                               "'[2]', is not a JSON number"),
+        ([1, 2, 3], [1, 2, 3], "is not a string of comma-separated numbers"),
+        ([1, 2, 3], 3, "is not a string of comma-separated numbers"),
     ], ids=["two-columns", "comma-on-full-axis", "blank-line", "null", "nan",
             "non-json-tokens", "integers", "minus-zero-axis", "overflow-axis", "short",
             "unordered-axis",
             "word-in-axis", "nested-axis", "list-axis", "number-axis"])
-    def test_damaged_gain_only_rows_keep_their_errors(self, tmp_path, body, axis, message):
-        trace, err = load_gain_only(tmp_path, body, axis)
+    def test_damaged_gain_only_rows_keep_their_errors(self, tmp_path, gain, axis, message):
+        trace, err = load_gain_only(tmp_path, gain, axis)
         assert trace is None
-        assert err.startswith(f"trace {ENTRY['file']}: ValueError: ")
+        name = ENTRY["file"] if isinstance(gain, str) else "trace_00000.f64"
+        assert err.startswith(f"trace {name}: ValueError: ")
         assert message in err
 
 
@@ -834,11 +837,22 @@ TRACE_FAULTS = {
     "empty": lambda lines: [],
 }
 
-# ways to damage one gain-only trace file, as edits of its lines (header included)
+def _with_sample_5(value: float):
+    """A damage that sets sample 5 of a binary trace to ``value``."""
+    return lambda data: data[:40] + np.float64(value).astype("<f8").tobytes() + data[48:]
+
+
+# ways to damage one binary trace file of a 401-point axis, as edits of its
+# bytes, and the error each gets
 GAIN_FAULTS = {
-    "gain-one-short": lambda lines: lines[:-1],
-    "gain-one-long": lambda lines: lines + [lines[-1]],
-    "gain-nan": lambda lines: lines[:5] + ["nan"] + lines[6:],
+    "gain-one-short": (lambda data: data[:-8], "holds 400 gain samples, and the detuning axis "
+                                               "of power setting 1 has 401"),
+    "gain-one-long": (lambda data: data + data[-8:], "holds 402 gain samples"),
+    "gain-nan": (_with_sample_5(np.nan), "gain samples must be finite"),
+    "gain-inf": (_with_sample_5(np.inf), "gain samples must be finite"),
+    "gain-cut-3-bytes": (lambda data: data[:-3], "holds 3205 bytes, not a whole number of "
+                                                  "8-byte doubles"),
+    "gain-empty": (lambda data: b"", "holds 0 gain samples"),
 }
 
 # ways to damage power setting 2's manifest axis, as edits of its values,
@@ -889,6 +903,18 @@ def workspace(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def fit_without_trace_3(workspace, tmp_path_factory):
+    """The report of a fit of the workspace dataset with manifest entry 3 left out."""
+    tmp = tmp_path_factory.mktemp("without")
+    shutil.copytree(workspace[2], tmp / "data")
+    manifest = manifest_doc(tmp / "data")
+    del manifest["traces"][3]
+    (tmp / "data" / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["fit", str(tmp / "data"), "--out", str(tmp / "fit")]) == 0
+    return json.loads((tmp / "fit" / "report.json").read_text())
+
+
+@pytest.fixture(scope="module")
 def v1_workspace(workspace, tmp_path_factory):
     """The workspace dataset rewritten in the v1 layout."""
     data = tmp_path_factory.mktemp("v1") / "data"
@@ -904,14 +930,13 @@ class TestCliSynthFit:
         n = len(manifest["traces"])
         assert n == 4 * 6 * 2  # rungs x settings x repeats
         assert manifest["config_sha256"] == load_config(config_path).sha256
-        csvs = sorted(data.glob("trace_*.csv"))
-        assert len(csvs) == n and len(list(data.glob("trace_*.json"))) == n
-        first = csvs[0].read_text().splitlines()
-        assert first[0] == "gain_w" and len(first) == 1 + 401
+        traces = sorted(data.glob("trace_*.f64"))
+        assert len(traces) == n and len(list(data.glob("trace_*.json"))) == n
+        assert traces[0].stat().st_size == 8 * 401
         assert sorted(manifest[AXES_KEY]) == [str(setting) for setting in range(6)]
 
     def test_v1_copy_fits_byte_identically(self, workspace, v1_workspace, tmp_path):
-        # external data in the v1 layout fits exactly as the gain-only original
+        # external data in the v1 layout fits exactly as the binary original
         _, _, data = workspace
         assert (v1_workspace / "trace_00000.csv").read_text().startswith(V1_TRACE_HEADER)
         assert AXES_KEY not in manifest_doc(v1_workspace)
@@ -1056,8 +1081,8 @@ class TestCliSynthFit:
         tmp, config_path, data = workspace
         broken = tmp_path / "broken"
         shutil.copytree(data, broken)
-        victim = sorted(broken.glob("trace_*.csv"))[3]
-        victim.write_text("detuning_hz,gain_w\nnot,a,number\n")
+        victim = sorted(broken.glob("trace_*.f64"))[3]
+        victim.write_bytes(b"\x00" * 15)
         out = tmp_path / "fitbroken"
         assert main(["fit", str(broken), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -1068,9 +1093,11 @@ class TestCliSynthFit:
     ENTRY_FAULTS = ["missing-pump_w", "nan-pump_w", "missing-file", "not-an-object"]
 
     @pytest.mark.parametrize("fault", [*TRACE_FAULTS, *GAIN_FAULTS, *ENTRY_FAULTS])
-    def test_damaged_trace_is_recorded_and_skipped(self, workspace, v1_workspace, tmp_path,
-                                                   capsys, fault):
-        # TRACE_FAULTS damage a v1 trace, the others a gain-only one
+    def test_damaged_trace_is_recorded_and_skipped(self, workspace, v1_workspace,
+                                                   fit_without_trace_3, tmp_path, capsys,
+                                                   fault):
+        # TRACE_FAULTS damage a v1 trace, the others a binary one; every
+        # table is what the fit writes without the damaged trace
         broken = tmp_path / "broken"
         shutil.copytree(v1_workspace if fault in TRACE_FAULTS else workspace[2], broken)
         manifest = manifest_doc(broken)
@@ -1088,17 +1115,50 @@ class TestCliSynthFit:
                 manifest["traces"][3] = 7
                 label = "manifest entry 3"
             (broken / "manifest.json").write_text(json.dumps(manifest))
+        elif fault in GAIN_FAULTS:
+            path = broken / victim["file"]
+            path.write_bytes(GAIN_FAULTS[fault][0](path.read_bytes()))
         else:
             path = broken / victim["file"]
-            lines = {**TRACE_FAULTS, **GAIN_FAULTS}[fault](path.read_text().splitlines())
+            lines = TRACE_FAULTS[fault](path.read_text().splitlines())
             path.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "fit"
         capsys.readouterr()
         assert main(["fit", str(broken), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["errors"]) == 1 and report["errors"][0].startswith(f"{label}: ")
+        if fault in GAIN_FAULTS:
+            assert report["errors"][0].startswith(f"{label}: ValueError: ")
+            assert GAIN_FAULTS[fault][1] in report["errors"][0]
         assert capsys.readouterr().err.count("warning: ") == 1
-        assert report["per_temperature"]
+        for key in ("per_bin", "per_temperature", "freq_shift", "global"):
+            assert report[key] == fit_without_trace_3[key]
+
+    def test_gain_only_csv_of_v2_is_one_recorded_error(self, workspace, fit_without_trace_3,
+                                                        tmp_path, capsys):
+        # a trace as tlsphonon-bgs-v2 wrote it, one gain a line under the
+        # header gain_w, is one recorded error that says how to mend it; the
+        # rest fits as it does without that trace
+        broken = tmp_path / "broken"
+        shutil.copytree(workspace[2], broken)
+        manifest = manifest_doc(broken)
+        manifest["format"] = "tlsphonon-bgs-v2"
+        victim = manifest["traces"][3]
+        gain = gains_of(broken / victim["file"])
+        (broken / victim["file"]).unlink()
+        victim["file"] = "trace_00003.csv"
+        (broken / victim["file"]).write_bytes(b"gain_w\n" + format_rows(gain.reshape(-1, 1)))
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["fit", str(broken), "--out", str(tmp_path / "fit")]) == 0
+        error = (f"trace trace_00003.csv: ValueError: {broken / 'trace_00003.csv'}: header "
+                 f"'gain_w' opens a gain-only CSV of tlsphonon-bgs-v2, which is no longer "
+                 f"read; re-run synth with the manifest's config")
+        assert capsys.readouterr().err.splitlines() == [f"warning: {error}"]
+        report = json.loads((tmp_path / "fit" / "report.json").read_text())
+        assert report["errors"] == [error]
+        for key in ("per_bin", "per_temperature", "freq_shift", "global"):
+            assert report[key] == fit_without_trace_3[key]
 
     @pytest.mark.parametrize("fault", AXIS_FAULTS)
     def test_damaged_axis_is_recorded_per_trace(self, workspace, tmp_path, capsys, fault):
@@ -1642,7 +1702,7 @@ class TestFailureContract:
         tmp, config_path, data = workspace
         broken = tmp_path / "broken"
         shutil.copytree(data, broken)
-        for path in broken.glob("trace_*.csv"):
+        for path in broken.glob("trace_*.f64"):
             path.write_text("x,y\n")
         capsys.readouterr()
         assert main(["fit", str(broken), "--out", str(tmp_path / "fit")]) == 1
