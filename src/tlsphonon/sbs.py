@@ -127,8 +127,9 @@ def phonon_intensity(
     v = material.sound_speed("L")
     profile = g_b_peak * lorentzian_profile(omega_im, omega_ac, gamma)
     omega_s = drive.pump_omega - omega_im
+    # the power product first: (1e300 W, 1e-300 W) drives a finite intensity
     out = (v / gamma) * (omega_im / omega_s) / material.a_eff \
-        * profile * drive.pump_power * drive.stokes_power
+        * profile * (drive.pump_power * drive.stokes_power)
     if np.ndim(omega_im) == 0:
         return float(out)
     return out

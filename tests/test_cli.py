@@ -1573,11 +1573,11 @@ class TestFailureContract:
         assert not (tmp_path / "data").exists()
 
     def test_overflowing_drive_is_one_error_line(self, tmp_path):
-        # this drive's intensity at unit linewidth, C = J Gamma^2, overflows a
-        # double: one error line that names the setting, no numpy warning, exit 2
-        # and no dataset
+        # this drive's power product, and with it its intensity at unit
+        # linewidth, C = J Gamma^2, overflows a double: one error line that
+        # names the setting, no numpy warning, exit 2 and no dataset
         doc = base_doc()
-        doc["synth"]["power_settings_w"].append([1e300, 1e-300])
+        doc["synth"]["power_settings_w"].append([1e300, 1e300])
         proc = subprocess.run(
             [sys.executable, "-m", "tlsphonon.cli", "synth",
              "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "data")],
@@ -1586,9 +1586,24 @@ class TestFailureContract:
         assert proc.stderr.splitlines() == [
             "warning: power setting 6 has single-pass gain g_B*P_p*L = 6.01e+299 > 0.1; "
             "the weak-signal model is marginal there",
-            "error: power setting (1e+300 W, 1e-300 W): its acoustic intensity at unit "
+            "error: power setting (1e+300 W, 1e+300 W): its acoustic intensity at unit "
             "linewidth overflows a double"]
         assert not (tmp_path / "data").exists()
+
+    def test_drive_of_finite_power_product_synthesizes(self, tmp_path):
+        # 1e300 W times 1e-300 W is 1 W^2: the intensity is finite whatever
+        # the size of either power, and only the weak-signal margin warns
+        doc = base_doc()
+        doc["synth"]["power_settings_w"].append([1e300, 1e-300])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tlsphonon.cli", "synth",
+             "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "data")],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "warning: power setting 6 has single-pass gain g_B*P_p*L = 6.01e+299 > 0.1; "
+            "the weak-signal model is marginal there"]
+        assert len(manifest_doc(tmp_path / "data")["traces"]) == 4 * 7 * 2
 
     def test_vitreous_silica_at_low_critical_intensity_synthesizes(self, tmp_path):
         # with J_c = 4 W/m^2 the vitreous-silica operating points are far into
