@@ -37,6 +37,15 @@ def _csv_head(header, config: RunConfig) -> bytes:
     return (stamp + ",".join(header) + "\n").encode()
 
 
+def _write_csv(path: Path, header, config: RunConfig, rows) -> None:
+    """Write a stamped CSV of ``rows``, streamed from ``format_rows``."""
+    from .dataset import format_rows
+
+    with path.open("wb") as fh:
+        fh.write(_csv_head(header, config))
+        fh.writelines(format_rows(rows))
+
+
 # ---------------------------------------------------------------------------
 # grid parsing for `model`
 # ---------------------------------------------------------------------------
@@ -103,7 +112,6 @@ MODEL_COLUMNS = (
     "gamma_res_hz", "gamma_rel_hz", "gamma_bg_hz", "gamma_total_hz",
     "freq_shift_hz", "q_factor", "decay_length_m",
 )
-MODEL_BLOCK_ROWS = 4096
 
 
 def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
@@ -137,9 +145,7 @@ def cmd_model(config: RunConfig, grid_spec: str, out_dir: Path) -> Path:
                 decay_length(bd.total, config.material, "L"),
             )
             table = np.stack([np.broadcast_to(c, t.shape).ravel() for c in columns], axis=1)
-            # bounded blocks: a large grid never sits in memory as one text
-            for start in range(0, len(table), MODEL_BLOCK_ROWS):
-                fh.write(format_rows(table[start:start + MODEL_BLOCK_ROWS]))
+            fh.writelines(format_rows(table))
     return out
 
 
@@ -171,11 +177,6 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     return out_dir / "manifest.json"
 
 
-# rows per format_rows call: 64 rows of a 32-bin setting are ~45 kB of text,
-# too little to raise a fit's peak RSS (256 rows raised long-traces' by ~1 MB)
-BINNED_BLOCK_ROWS = 64
-
-
 def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path, manifest: dict) -> int:
     """Fit a dataset; ``manifest`` is its parsed manifest (``read_manifest``)."""
     from itertools import groupby
@@ -204,19 +205,14 @@ def cmd_fit(config: RunConfig, dataset_dir: Path, out_dir: Path, manifest: dict)
     for setting, group in groupby(result.binned, attrgetter("setting")):
         units = list(group)
         grid = units[0].trace.detuning_grid
-        centers = format_rows([[u.center for u in units]]).decode().rstrip("\n").split(",")
-        with (binned_dir / f"binned_s{setting:02d}.csv").open("wb") as fh:
-            fh.write(_csv_head(("detuning_hz", *centers), config))
-            # bounded blocks: the setting's matrix never sits in memory whole
-            for start in range(0, len(grid), BINNED_BLOCK_ROWS):
-                rows = slice(start, start + BINNED_BLOCK_ROWS)
-                fh.write(format_rows(np.column_stack(
-                    (grid[rows] / TWO_PI, *(u.trace.gain[rows] for u in units)))))
+        centers = b"".join(format_rows([[u.center for u in units]])).decode().rstrip("\n")
+        _write_csv(binned_dir / f"binned_s{setting:02d}.csv",
+                   ("detuning_hz", *centers.split(",")), config,
+                   np.column_stack((grid / TWO_PI, *(u.trace.gain for u in units))))
 
     for table, columns in TABLE_COLUMNS.items():
-        rows = [[row[c] for c in columns] for row in report[table]]
-        (out_dir / f"{table}.csv").write_bytes(
-            _csv_head(columns, config) + format_rows(rows))
+        _write_csv(out_dir / f"{table}.csv", columns, config,
+                   [[row[c] for c in columns] for row in report[table]])
 
     (out_dir / "report.txt").write_text(
         render_report_table(report, config) + "\n", encoding="utf-8"

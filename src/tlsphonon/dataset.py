@@ -24,11 +24,14 @@ Every number the program writes to a CSV, here and in ``fit``'s and
 round-trip form, and every JSON file through :func:`write_json`, so
 re-running an identical config produces byte-identical files.
 
-The row codec makes one flat pass each way. :func:`format_rows` dumps a
-table's row-major values as flat orjson lists of a few whole rows each,
-appended to one buffer, and turns every width-th comma into a newline with
-one numpy pass over each chunk. Reading back, a manifest axis is one orjson
-list, and a v1 CSV is read line by line.
+The number codec is one rule each way. :func:`format_rows` yields a
+table's text in chunks of a few whole rows, each one flat orjson list whose
+every width-th comma numpy turns into a newline, so a caller streams a table
+of any size to its file with ``writelines``. Every number read from text, a
+manifest axis or a v1 CSV column, is read as ``float()`` reads it, by
+:func:`_floats`; whether the values may be a trace is for
+:class:`~tlsphonon.synth.BGSTrace` to say (finite, increasing), so the two
+layouts accept and refuse the same tokens.
 
 A loaded dataset holds each detuning axis once. :func:`load_dataset` reads
 every trace in one pass and takes its grid from one table keyed by the
@@ -43,13 +46,10 @@ refused.
 from __future__ import annotations
 
 import json
-import math
-import re
 from collections import Counter
-from contextlib import suppress
 from itertools import chain
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 import orjson
@@ -62,32 +62,21 @@ from .synth import BGSTrace
 FORMAT = "tlsphonon-bgs-v3"
 AXES_KEY = "detuning_axes_hz"
 V1_TRACE_HEADER = "detuning_hz,gain_w"
-# the bytes of JSON numbers, of the commas between them and of JSON's whitespace
-_NUMBER_LIST_BYTES = b"0123456789.eE+-, \t\r\n"
-# JSON reads the integer -0 as +0, where float() keeps the sign; an exponent
-# -0 (1e-0), which format_rows never writes, is refused with it
-_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.\deE])")
 _COMMA, _NEWLINE = b",\n"
-# values per orjson dump in format_rows. A dump's bytes keep orjson's whole
-# buffer, ~16 kB for 512 values (~10 kB of text) and ~64 kB for 1024, so a
-# chunk stays small beside a large table's text
-_CHUNK_VALUES = 512
+# values per chunk of format_rows: ~40 kB of text, and ~190 kB of peak
+# memory while one is formatted. Each chunk pays its own numpy passes and
+# write: at 512 values the 256 x 256 model table wrote ~25% slower
+_CHUNK_VALUES = 2048
 
 
 def trace_filename(index: int) -> str:
     return f"trace_{index:05d}.f64"
 
 
-def _token(value) -> bytes:
-    # repr spells NaN and +-inf as Python's float() reads them; JSON has no such numbers
-    if math.isfinite(value):
-        return orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY)
-    return repr(float(value)).encode()
-
-
-def format_rows(rows) -> bytearray:
+def format_rows(rows) -> Iterator[bytearray]:
     """CSV rows of a 2-D float matrix, or of a list of rows of Python (or
-    numpy scalar) ints and floats, each value in its shortest round-trip form.
+    numpy scalar) ints and floats, each value in its shortest round-trip
+    form, yielded in chunks of whole rows.
 
     The digits are those of ``repr``, written by orjson's C serializer;
     exponents are unpadded (``1e-7``, ``1e16``) and values in [1e-5, 1e-4)
@@ -95,19 +84,16 @@ def format_rows(rows) -> bytearray:
     +-inf are written ``nan``, ``inf`` and ``-inf``, never JSON's ``null``.
     Rows must share one width of at least one value.
 
-    The row-major values are dumped as flat orjson lists of whole rows,
-    ~``_CHUNK_VALUES`` values each, straight into the one buffer returned;
-    one numpy pass over each chunk turns every width-th comma, and the
-    closing bracket, into a newline. No copy of the whole text is made, so
-    the peak memory is under twice the output.
+    Each chunk is the row-major values of ~``_CHUNK_VALUES`` values' worth
+    of whole rows, dumped as one flat orjson list; one numpy pass turns its
+    every width-th comma, and the closing bracket, into a newline. The text
+    of a table is never held whole: write it with ``fh.writelines``.
     """
     if isinstance(rows, np.ndarray):
         block = np.ascontiguousarray(rows, dtype=np.float64)
         if block.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {block.shape}")
         shape, flat = block.shape, block.ravel()
-        finite = np.isfinite(flat)
-        bad = [] if finite.all() else np.flatnonzero(~finite.reshape(shape).all(axis=1))
     else:
         block = [list(row) for row in rows]
         widths = sorted({len(row) for row in block})
@@ -115,29 +101,28 @@ def format_rows(rows) -> bytearray:
             raise ValueError(f"expected rows of one width, got widths {widths}")
         shape = (len(block), widths[0] if block else 0)
         flat = list(chain.from_iterable(block))
-        bad = [i for i, row in enumerate(block) if not all(map(math.isfinite, row))]
     if not shape[0]:
-        return bytearray()
+        return
     width = shape[1]
     if not width:
         raise ValueError(f"expected at least one column, got shape {shape}")
     step = max(1, _CHUNK_VALUES // width) * width
-    text = bytearray()
     for start in range(0, len(flat), step):
-        at = len(text)
-        dump = orjson.dumps(flat[start:start + step], option=orjson.OPT_SERIALIZE_NUMPY)
-        text += memoryview(dump)[1:]  # a,b,c,d]
+        values = flat[start:start + step]
+        dump = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+        text = bytearray(memoryview(dump)[1:])  # a,b,c,d]
         del dump  # orjson's buffer goes before the pass below allocates
-        chars = np.frombuffer(text, dtype=np.uint8, offset=at)
+        chars = np.frombuffer(text, dtype=np.uint8)
         chars[-1] = _NEWLINE
         chars[np.flatnonzero(chars == _COMMA)[width - 1::width]] = _NEWLINE
-        del chars  # a bytearray with a view on it cannot grow
-    if len(bad):
-        lines = text.split(b"\n")  # the last is the empty one after the final newline
-        for i in bad:
-            lines[i] = b",".join(map(_token, block[i]))
-        text = bytearray(b"\n").join(lines)
-    return text
+        del chars  # the caller gets the chunk with no view on it
+        finite = np.isfinite(np.asarray(values, dtype=np.float64))
+        if not finite.all():
+            # orjson writes each non-finite value as null; repr spells it as
+            # Python's float() reads it
+            tokens = [repr(float(values[i])).encode() for i in np.flatnonzero(~finite)]
+            text = bytearray().join(chain.from_iterable(zip(text.split(b"null"), tokens + [b""])))
+        yield text
 
 
 def write_json(path: Path, doc: dict) -> None:
@@ -179,33 +164,26 @@ def write_trace(directory: Path, trace: BGSTrace) -> dict:
     return entry
 
 
-def _json_numbers(text: bytes) -> Optional[list]:
-    """``text`` as one orjson list; None unless each comma-separated token is
-    a JSON number in the double range other than the integer ``-0``."""
-    if not text.translate(None, _NUMBER_LIST_BYTES) and not _INTEGER_MINUS_ZERO.search(text):
-        with suppress(ValueError):  # not JSON, or a number past the double range
-            return orjson.loads(b"[%b]" % text)
-    return None
-
-
-def _number_list(text: bytes, source) -> np.ndarray:
-    """The comma-separated numbers of ``text`` as the doubles ``float()``
-    reads, or one ValueError naming ``source`` and the first token that is
-    not a JSON number in the double range (``1.``, ``.5``, ``+2``, ``nan``,
-    an empty token) or is the integer ``-0``."""
-    values = _json_numbers(text)
-    if values is None:
-        pos, token = next((pos, token) for pos, token in enumerate(text.split(b","), 1)
-                          if len(_json_numbers(token) or ()) != 1)
-        raise ValueError(f"{source}: value {pos}, {token.strip().decode(errors='replace')!r}, "
-                         f"is not a JSON number in the double range other than the integer -0")
-    return np.array(values, dtype=np.float64)
+def _floats(tokens, source) -> np.ndarray:
+    """The strings ``tokens`` as the doubles ``float()`` reads, or one
+    ValueError naming ``source`` and the first token ``float()`` refuses,
+    counted from 1."""
+    try:
+        return np.array([float(token) for token in tokens], dtype=np.float64)
+    except ValueError:
+        for pos, token in enumerate(tokens, 1):
+            try:
+                float(token)
+            except ValueError:
+                raise ValueError(f"{source}: value {pos}, {token.strip()!r}, "
+                                 f"is not a number") from None
+        raise
 
 
 def _columns(path: Path):
-    """(detuning [Hz], gain) arrays of a v1 trace CSV, read line by line and
-    taking any number ``float()`` reads, or (None, gain) of a ``.f64``
-    trace, whose gain is a read-only view of the file's bytes."""
+    """(detuning [Hz], gain) arrays of a v1 trace CSV, read line by line,
+    each column by :func:`_floats`, or (None, gain) of a ``.f64`` trace,
+    whose gain is a read-only view of the file's bytes."""
     if path.suffix == ".f64":
         data = path.read_bytes()
         if len(data) % 8:
@@ -219,14 +197,18 @@ def _columns(path: Path):
                          f"which is no longer read; re-run synth with the manifest's config")
     if head != V1_TRACE_HEADER:
         raise ValueError(f"{path}: expected header {V1_TRACE_HEADER!r}")
-    cells = [line.split(",") for line in raw[1:]]
-    return np.array([float(a) for a, _ in cells]), np.array([float(b) for _, b in cells])
+    rows = raw[1:]
+    for pos, line in enumerate(rows, 1):
+        if line.count(",") != 1:
+            raise ValueError(f"{path}: row {pos}, {line.strip()!r}, is not two values")
+    det, gain = zip(*(line.split(",") for line in rows)) if rows else ((), ())
+    return _floats(det, f"{path}, column detuning_hz"), _floats(gain, f"{path}, column gain_w")
 
 
 def _axis_text(axis_hz: np.ndarray) -> str:
-    """An axis as the manifest holds it: the values a v1 CSV's detuning
-    column holds, in the same digits, comma-separated."""
-    return format_rows(axis_hz.reshape(-1, 1)).decode().rstrip("\n").replace("\n", ",")
+    """An axis as the manifest holds it: one row of :func:`format_rows`,
+    so in the digits a v1 CSV's detuning column holds, comma-separated."""
+    return b"".join(format_rows(axis_hz.reshape(1, -1))).decode()[:-1] if len(axis_hz) else ""
 
 
 def write_manifest(directory: Path, entries: List[dict], traces: List[BGSTrace],
@@ -257,10 +239,11 @@ def write_manifest(directory: Path, entries: List[dict], traces: List[BGSTrace],
 def _axis_array(axis, source: str) -> np.ndarray:
     """A manifest axis, a string of comma-separated numbers, as a read-only
     float array, or one ValueError naming ``source`` and, in a string, the
-    first value that is not a number (see :func:`_number_list`)."""
+    first value that is not a number (see :func:`_floats`). A blank string
+    is the empty axis."""
     if not isinstance(axis, str):
         raise ValueError(f"{source} is not a string of comma-separated numbers")
-    array = _number_list(axis.encode(), source)
+    array = _floats(axis.split(",") if axis.strip() else [], source)
     array.flags.writeable = False
     return array
 
@@ -321,7 +304,8 @@ def load_dataset(directory: Path, manifest: Optional[dict] = None) -> List[tuple
     def grid_of(axis_hz: np.ndarray) -> tuple:
         key = (axis_hz + 0.0).tobytes()
         if key not in grids:
-            grid = axis_hz * TWO_PI
+            with np.errstate(over="ignore"):  # past ~2.9e307 Hz: inf, which BGSTrace refuses
+                grid = axis_hz * TWO_PI
             grid.flags.writeable = False
             grids[key] = key, grid
         return grids[key]

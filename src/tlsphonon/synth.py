@@ -44,8 +44,9 @@ class ConvergenceError(ValueError):
 class BGSTrace:
     """One recorded Brillouin gain spectrum.
 
-    detuning_grid is strictly increasing [rad/s]; gain holds the Stokes
-    power increments [W]. Like an instrument, it records no acoustic intensity.
+    detuning_grid is finite and strictly increasing [rad/s]; gain holds the
+    finite Stokes power increments [W]. Like an instrument, it records no
+    acoustic intensity.
     """
 
     temperature: float
@@ -63,10 +64,14 @@ class BGSTrace:
         object.__setattr__(self, "gain", gain)
         if grid.ndim != 1 or gain.shape != grid.shape:
             raise ValueError("detuning grid and gain must be matching 1-D arrays")
+        for name, samples in (("detuning grid", grid), ("gain", gain)):
+            finite = np.isfinite(samples)
+            if not finite.all():
+                at = int(np.argmin(finite))  # the first non-finite sample
+                raise ValueError(f"{name} samples must be finite; the one at index {at} "
+                                 f"is {float(samples[at])!r}")
         if len(grid) and not np.all(np.diff(grid) > 0.0):
             raise ValueError("detuning grid must be strictly increasing")
-        if not np.all(np.isfinite(gain)):
-            raise ValueError("gain samples must be finite")
         _require_positive(temperature=self.temperature)
 
 

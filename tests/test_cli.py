@@ -78,10 +78,15 @@ def manifest_doc(data: Path) -> dict:
     return json.loads((data / "manifest.json").read_text())
 
 
+def csv_rows(rows) -> bytes:
+    """The text format_rows streams for ``rows``, its chunks joined."""
+    return b"".join(format_rows(rows))
+
+
 def axis_text(axis_hz) -> str:
     """An axis as the manifest holds it: its values in format_rows' digits,
     comma-separated."""
-    return ",".join(format_rows(np.asarray(axis_hz, dtype=float).reshape(-1, 1)).decode().split())
+    return ",".join(csv_rows(np.asarray(axis_hz, dtype=float).reshape(-1, 1)).decode().split())
 
 
 def axis_values(text: str) -> list:
@@ -91,7 +96,7 @@ def axis_values(text: str) -> list:
 def write_v1_trace(path: Path, det_hz, gain) -> None:
     """Write one spectrum as a v1 ``detuning_hz,gain_w`` CSV."""
     path.write_bytes(f"{V1_TRACE_HEADER}\n".encode()
-                     + format_rows(np.column_stack((det_hz, gain))))
+                     + csv_rows(np.column_stack((det_hz, gain))))
 
 
 def gains_of(path: Path) -> np.ndarray:
@@ -426,7 +431,7 @@ class TestDataset:
             path = data / f"trace_{trace.timestamp_index:05d}.f64"
             assert path.read_bytes() == trace.gain.astype("<f8").tobytes()
         # in the digits a v1 CSV's detuning column holds
-        column = format_rows((traces[0].detuning_grid / TWO_PI).reshape(-1, 1)).decode().split()
+        column = csv_rows((traces[0].detuning_grid / TWO_PI).reshape(-1, 1)).decode().split()
         assert all(text.split(",") == column for text in manifest_doc(data)[AXES_KEY].values())
 
     def test_a_setting_has_one_axis(self, tmp_path):
@@ -524,7 +529,7 @@ class TestRowCodec:
         det = np.unique(det)[:len(gain)]
         gain = gain[:len(det)]
         assume(np.all(np.diff(det * TWO_PI) > 0.0))  # the increasing grid a trace demands
-        back, err = load_v1(tmp_path, format_rows(np.column_stack((det, gain))).decode())
+        back, err = load_v1(tmp_path, csv_rows(np.column_stack((det, gain))).decode())
         assert err is None
         assert np.array_equal(bits(back.gain), bits(gain))
         assert np.array_equal(bits(back.detuning_grid), bits(det * TWO_PI))
@@ -538,7 +543,7 @@ class TestRowCodec:
                       elements=st.floats()))
     @example(np.array([[np.nan, 1.0], [np.inf, -np.inf], [1e-7, 1e16]]))
     def test_rows_read_back_by_float(self, matrix):
-        text = format_rows(matrix).decode()
+        text = csv_rows(matrix).decode()
         assert "null" not in text
         rows = [[float(v) for v in line.split(",")] for line in text.splitlines()]
         back = np.array(rows).reshape(matrix.shape)
@@ -548,20 +553,23 @@ class TestRowCodec:
         assert np.array_equal(back[np.isinf(matrix)], matrix[np.isinf(matrix)])
 
     def test_non_finite_tokens(self):
-        rows = format_rows(np.array([[np.nan, 1e-7], [np.inf, -np.inf], [2.5, -0.0]]))
+        rows = csv_rows(np.array([[np.nan, 1e-7], [np.inf, -np.inf], [2.5, -0.0]]))
         assert rows == b"nan,1e-7\ninf,-inf\n2.5,-0.0\n"
         # rows of Python and numpy scalars take the same tokens and keep their ints
-        rows = format_rows([[3, 1e-5, np.float64(2.5)], [0, np.nan, -np.inf]])
+        rows = csv_rows([[3, 1e-5, np.float64(2.5)], [0, np.nan, -np.inf]])
         assert rows == b"3,0.00001,2.5\n0,nan,-inf\n"
 
     @given(matrix=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
                              elements=st.floats()))
     @example(matrix=np.arange(33.0).reshape(3, 11) / 7)  # model.csv's width
     @example(matrix=np.array([[1.0, np.nan], [np.inf, 2.0], [3.0, 4.0]]))
+    # several chunks, with non-finite rows in each
+    @example(matrix=np.where(np.arange(7000).reshape(1000, 7) % 97 == 0, np.inf,
+                             np.arange(7000.0).reshape(1000, 7) / 7))
     def test_matrix_rows_match_nested_json(self, matrix):
-        assert format_rows(matrix) == nested_json_rows(matrix)
+        assert csv_rows(matrix) == nested_json_rows(matrix)
         # a strided view is written as its values
-        assert format_rows(np.asfortranarray(matrix)) == nested_json_rows(matrix)
+        assert csv_rows(np.asfortranarray(matrix)) == nested_json_rows(matrix)
 
     @given(st.integers(1, 12).flatmap(lambda width: st.lists(
         st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 64 - 1), st.floats(),
@@ -569,23 +577,30 @@ class TestRowCodec:
                            st.floats().map(np.float64)),
                  min_size=width, max_size=width),
         min_size=1, max_size=8)))
+    @example([[i, i / 7, 1.5 if i % 41 else -np.inf] for i in range(2000)])  # several chunks
     def test_list_rows_match_nested_json(self, rows):
-        assert format_rows(rows) == nested_json_rows(rows)
+        assert csv_rows(rows) == nested_json_rows(rows)
 
-    @pytest.mark.parametrize("shape", [(4096, 11), (4001, 1)], ids=["model-block", "gain-column"])
-    def test_text_is_built_in_one_buffer(self, shape):
-        # a model.csv block and a long trace's gain column: the text is never
-        # held twice, so the peak stays under twice the output
+    @pytest.mark.parametrize("shape", [(65536, 11), (262144, 1)], ids=["model-table", "one-column"])
+    def test_streamed_text_peaks_within_a_few_chunks(self, shape):
+        # the 256 x 256 model grid's table and a long column, streamed to a
+        # sink: the text is never held whole, so the peak is a few chunks'
+        # worth (a chunk is ~40 kB of text; ~190 kB peak) however long the
+        # table is
         rng = np.random.default_rng(0)
         matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 12, shape)
+        matrix[::997] = np.nan  # rows respelled within their chunk
+        digest, size = hashlib.sha256(), 0
         tracemalloc.start()
         try:
-            text = format_rows(matrix)
+            for chunk in format_rows(matrix):
+                digest.update(chunk)
+                size += len(chunk)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert text == nested_json_rows(matrix)
-        assert peak <= 2.0 * len(text)
+        assert digest.digest() == hashlib.sha256(nested_json_rows(matrix)).digest()
+        assert size > 5_000_000 and peak < 250_000
 
     @pytest.mark.parametrize("rows, shape", [
         (np.zeros((3, 0)), r"shape \(3, 0\)"),
@@ -595,7 +610,7 @@ class TestRowCodec:
     ], ids=["no-columns", "empty-row", "ragged", "one-dimensional"])
     def test_shapeless_rows_are_rejected(self, rows, shape):
         with pytest.raises(ValueError, match=shape):
-            format_rows(rows)
+            csv_rows(rows)
 
     @given(body=ROW_BODIES)
     @example(body="1,2\n3,4")
@@ -605,9 +620,11 @@ class TestRowCodec:
     @example(body="1\n-0.0\n 18446744073709551617 \n")
     @example(body="1,2\n3")
     @example(body="")
-    @example(body="1\n-0\n3\n")  # JSON reads the integer -0 as +0
-    @settings(max_examples=300)
-    def test_number_lists_read_as_float_or_are_refused(self, body):
+    @example(body="1\n-0\n3\n")  # JSON reads the integer -0 as +0, float() as -0.0
+    @example(body="-0\n.5\n1.\n+2")  # tokens float() reads and JSON does not
+    @example(body="1\n1e400\nnan")
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_number_lists_read_as_float_or_are_refused(self, tmp_path, body):
         # the tokens joined as a manifest axis read as float() reads each, or
         # are one error naming the first bad one
         lines = body.strip().split("\n") if body.strip() else []
@@ -618,6 +635,15 @@ class TestRowCodec:
             assert str(exc).startswith("axis: value ")
         else:
             assert np.array_equal(bits(axis), bits([float(v) for v in values]))
+        # one body, two layouts: the same tokens as a v1 CSV's detuning column
+        # load to the same grid as on a manifest axis, or both are refused,
+        # with the same error once its source is left out
+        column, column_err = load_v1(tmp_path, "".join(f"{v},0\n" for v in values))
+        on_axis, axis_err = load_gain_only(tmp_path, np.zeros(len(values)), ",".join(lines))
+        if column is None or on_axis is None:
+            assert column_err.rsplit(": ", 1)[1] == axis_err.rsplit(": ", 1)[1]
+        else:
+            assert np.array_equal(bits(column.detuning_grid), bits(on_axis.detuning_grid))
 
     def test_empty_spectrum_is_an_empty_file(self, tmp_path):
         [trace] = synth_sweep(parse_config(base_doc()).sweep_plan())[:1]
@@ -646,18 +672,27 @@ class TestRowCodec:
         assert np.array_equal(bits(back.gain), bits(want[:, 1]))
 
     @pytest.mark.parametrize("body, message", [
-        ("1,2\n\n3,4\n", "not enough values to unpack"),
-        ("1,2,3\n", "too many values to unpack"),
-        ("1,null\n", "could not convert string to float: 'null'"),
-        ('1,"2"\n', "could not convert string to float: '\"2\"'"),
-        ("1,2\n3\n", "not enough values to unpack"),
+        ("1,2\n\n3,4\n", "row 2, '', is not two values"),
+        ("1,2,3\n", "row 1, '1,2,3', is not two values"),
+        ("1,null\n", "column gain_w: value 1, 'null', is not a number"),
+        ('1,"2"\n', "column gain_w: value 1, '\"2\"', is not a number"),
+        ("1,2\n3\n", "row 2, '3', is not two values"),
         # the right number of values, laid out raggedly
-        ("1,2,3\n4\n", "too many values to unpack"),
-        ("1\n2,3,4\n", "not enough values to unpack"),
-        ("1,1e400\n", "gain samples must be finite"),
-        ("1,nan\n", "gain samples must be finite"),
+        ("1,2,3\n4\n", "row 1, '1,2,3', is not two values"),
+        ("1\n2,3,4\n", "row 1, '1', is not two values"),
+        ("1,2\n3,x\n", "column gain_w: value 2, 'x', is not a number"),
+        ("1,2\nx,3\n", "column detuning_hz: value 2, 'x', is not a number"),
+        ("1,1e400\n", "gain samples must be finite; the one at index 0 is inf"),
+        ("1,nan\n", "gain samples must be finite; the one at index 0 is nan"),
+        # the grid is held to finite samples as the gains are: an infinite
+        # last detuning is still increasing
+        ("1,2\n3,4\ninf,5\n", "detuning grid samples must be finite; the one at index 2 "
+                               "is inf"),
+        ("1,2\n1e400,4\n", "detuning grid samples must be finite; the one at index 1 is inf"),
+        ("nan,2\n3,4\n", "detuning grid samples must be finite; the one at index 0 is nan"),
     ], ids=["blank-line", "three-columns", "null", "quoted", "one-column", "ragged-3-1",
-            "ragged-1-3", "overflow", "nan"])
+            "ragged-1-3", "word-gain", "word-detuning", "overflow", "nan", "inf-detuning",
+            "overflow-detuning", "nan-detuning"])
     def test_damaged_rows_keep_their_errors(self, tmp_path, body, message):
         trace, err = load_v1(tmp_path, body)
         assert trace is None
@@ -675,18 +710,17 @@ class TestRowCodec:
         ("1\nnan\n3\n", "1,2,3", OLD_LAYOUT),
         ("1.\n.5\n+2\n", "1,2,3", OLD_LAYOUT),
         ("1\n-0\n18446744073709551616\n", "1,2,3", OLD_LAYOUT),
-        ([1, 2, 3], "-1,-0,3", "the manifest's detuning axis for power setting 0: value 2, "
-                               "'-0', is not a JSON number in the double range other than "
-                               "the integer -0"),
-        ([1, 2, 3], "1,1e400,3", "the manifest's detuning axis for power setting 0: "
-                                 "value 2, '1e400', is not a JSON number in the double range"),
+        # -0 reads as float() reads it, -0.0, which is not below 0
+        ([1, 2, 3], "-0,0,3", "detuning grid must be strictly increasing"),
+        ([1, 2, 3], "1,1e400,3", "detuning grid samples must be finite; the one at index 1 "
+                                 "is inf"),
         ([1, 2], "1,2,3", "holds 2 gain samples, and the detuning axis of power "
                           "setting 0 has 3"),
         ([1, 2, 3], "1,3,2", "detuning grid must be strictly increasing"),
         ([1, 2, 3], "1,x,3", "the manifest's detuning axis for power setting 0: value 2, "
-                             "'x', is not a JSON number"),
+                             "'x', is not a number"),
         ([1, 2, 3], "1,[2],3", "the manifest's detuning axis for power setting 0: value 2, "
-                               "'[2]', is not a JSON number"),
+                               "'[2]', is not a number"),
         ([1, 2, 3], [1, 2, 3], "is not a string of comma-separated numbers"),
         ([1, 2, 3], 3, "is not a string of comma-separated numbers"),
     ], ids=["two-columns", "comma-on-full-axis", "blank-line", "null", "nan",
@@ -867,7 +901,7 @@ AXIS_FAULTS = {
                        "has 400"),
     "axis-not-numbers": (lambda axis: axis[:5] + ["x"] + axis[6:],
                          "the manifest's detuning axis for power setting 2: value 6, 'x', is "
-                         "not a JSON number"),
+                         "not a number"),
 }
 
 
@@ -994,7 +1028,7 @@ class TestCliSynthFit:
             assert lines[0].startswith(b"# tlsphonon ")
             assert lines[1].decode().strip().split(",") == list(columns)
             rows = [[row[c] for c in columns] for row in report[table]]
-            assert b"".join(lines[2:]) == format_rows(rows)
+            assert b"".join(lines[2:]) == csv_rows(rows)
             for line, row in zip(lines[2:], rows):
                 for cell, value in zip(line.decode().strip().split(","), row):
                     if isinstance(value, int):
@@ -1147,7 +1181,7 @@ class TestCliSynthFit:
         gain = gains_of(broken / victim["file"])
         (broken / victim["file"]).unlink()
         victim["file"] = "trace_00003.csv"
-        (broken / victim["file"]).write_bytes(b"gain_w\n" + format_rows(gain.reshape(-1, 1)))
+        (broken / victim["file"]).write_bytes(b"gain_w\n" + csv_rows(gain.reshape(-1, 1)))
         (broken / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["fit", str(broken), "--out", str(tmp_path / "fit")]) == 0
